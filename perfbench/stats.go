@@ -1,0 +1,40 @@
+package main
+
+import (
+	"sort"
+	"time"
+)
+
+// median returns the median of xs (0 for none).
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// quantile returns the q-quantile of xs by linear interpolation
+// between closest ranks (0 for none). xs is not modified.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo >= len(s)-1 {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(lo)
+	return s[lo] + frac*(s[lo+1]-s[lo])
+}
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
