@@ -7,7 +7,7 @@
 //	        [-approach A] [-tiles N] [-isps N] [-iterations N] [-seed S]
 //	        [-policy P] [-schedcost] [-no-intertask] [-deadline MS]
 //	        [-arrivals A] [-trace file.json] [-trace-out file.json]
-//	        [-multitask M] [-partitions N] [-lanes N] [-parallelism P]
+//	        [-multitask M] [-partitions N] [-parallelism P]
 //
 // The accepted names for -approach, -policy, -arrivals and -multitask
 // come from the internal/workload registries (the exact sets the JSON
@@ -29,17 +29,14 @@
 // ownership (the paper's model, the default), fixed tile partitions
 // (-partitions, default 2), or greedy free-tile claims. Concurrent
 // modes report the peak in-flight count and per-instance queueing-delay
-// and response-time percentiles. -lanes (partition mode only) shards
-// the event loop itself: an admission round's instances run
-// concurrently on that many lane executors, with identical results for
-// every lane count >= 1.
+// and response-time percentiles.
 //
 // -trace-out records the run's fabric and kernel events and writes a
 // Chrome trace-event JSON file — load it in Perfetto or
 // chrome://tracing to see per-tile loads (prefetch hits vs demand
 // misses), executions, port stalls, evictions, and ISP activity on a
 // shared timeline. Event tracing needs the in-order sequential path,
-// so -trace-out conflicts with an explicit -parallelism or -lanes.
+// so -trace-out conflicts with an explicit -parallelism.
 //
 // -parallelism shards the iteration stream across P worker goroutines
 // with counter-derived per-iteration RNG streams; aggregates are
@@ -81,7 +78,6 @@ func main() {
 		traceFile   = flag.String("trace", "", "JSON arrival log for -arrivals trace (array of iterations, each an array of task indices)")
 		multitask   = flag.String("multitask", "serial", "fabric admission mode: "+workload.Usage(workload.MultitaskModes()))
 		partitions  = flag.Int("partitions", 0, "fixed tile-partition count for -multitask partition (0: 2)")
-		lanes       = flag.Int("lanes", 0, "event-loop lane executors for -multitask partition (0: in-order)")
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for sharded execution (0: sequential, -1: one per CPU)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run (Perfetto-loadable; sequential path only)")
 	)
@@ -142,7 +138,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	mt, err := workload.ParseMultitask(*multitask, *partitions, *lanes)
+	mt, err := workload.ParseMultitask(*multitask, *partitions)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drhwsim: %v\n", err)
 		os.Exit(2)
@@ -254,9 +250,6 @@ func main() {
 	fmt.Printf("iter overhead       p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
 		r.IterOverhead.P50, r.IterOverhead.P95, r.IterOverhead.P99)
 	switch {
-	case r.Partitions > 0 && *lanes > 0:
-		fmt.Printf("multitask           %s (%d partitions, %d lanes), peak %d in flight\n",
-			r.MultitaskMode, r.Partitions, *lanes, r.MaxInFlight)
 	case r.Partitions > 0:
 		fmt.Printf("multitask           %s (%d partitions), peak %d in flight\n",
 			r.MultitaskMode, r.Partitions, r.MaxInFlight)

@@ -317,14 +317,6 @@ const (
 // in SimResult.Workers.
 const AutoParallelism = sim.AutoParallelism
 
-// ErrParallelMultitask is returned (wrapped) when an explicit
-// per-partition lane count (Multitask.Lanes >= 1) is combined with
-// greedy admission, whose whole-fabric residency reads leave no
-// disjoint per-lane state to shard the event loop over; test with
-// errors.Is. Chunk sharding (SimOptions.Parallelism) works under every
-// admission mode.
-var ErrParallelMultitask = sim.ErrParallelMultitask
-
 // Simulate runs a dynamic application mix on the modelled platform.
 func Simulate(mix []TaskMix, p Platform, opt SimOptions) (*SimResult, error) {
 	return sim.Run(mix, p, opt)

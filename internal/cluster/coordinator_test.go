@@ -25,6 +25,46 @@ func sweepBody(values string) string {
 	return fmt.Sprintf(`{"workload": %s, "param": "tiles", "values": %s, "approaches": ["hybrid"]}`, planDoc, values)
 }
 
+// spanningValues returns n tile values, as a JSON list, that the
+// coordinator's ring over replicas places so that every replica owns at
+// least perReplica of them. The placement is computed the way the
+// coordinator computes it — ParseGrid shard keys assigned on a ring of
+// the same replica URLs — so a test whose failure path needs a given
+// replica to be asked does not depend on how random httptest ports
+// happen to hash.
+func spanningValues(t *testing.T, replicas []string, n, perReplica int) string {
+	t.Helper()
+	candidates := make([]int, 32)
+	positions := make([]int, len(candidates))
+	for i := range candidates {
+		candidates[i], positions[i] = i+2, i
+	}
+	owned := mustGrid(t, "tiles", candidates, []string{"hybrid"}).
+		Assign(NewRing(replicas, DefaultVNodes), positions)
+	picked := map[int]bool{}
+	for _, u := range replicas {
+		if len(owned[u]) < perReplica {
+			t.Fatalf("replica %s owns %d of %d candidate values, want >= %d", u, len(owned[u]), len(candidates), perReplica)
+		}
+		for _, vi := range owned[u][:perReplica] {
+			picked[vi] = true
+		}
+	}
+	for vi := 0; len(picked) < n; vi++ {
+		picked[vi] = true
+	}
+	values := make([]int, 0, n)
+	for vi := range picked {
+		values = append(values, candidates[vi])
+	}
+	sort.Ints(values)
+	list, err := json.Marshal(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(list)
+}
+
 func newReplicaServer(t *testing.T, id string) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(server.New(server.Config{ReplicaID: id}))
@@ -243,18 +283,17 @@ func TestCoordinatorReplicaDiesMidStream(t *testing.T) {
 	t.Cleanup(flaky.Close)
 	survivor := newReplicaServer(t, "survivor")
 
-	_, coord := newCoordinator(t, Config{Replicas: []string{flaky.URL, survivor.URL}})
-	cells, sum := sweepThrough(t, coord.URL, sweepBody(`[2, 3, 4, 5, 6, 7, 8, 9]`))
+	replicas := []string{flaky.URL, survivor.URL}
+	_, coord := newCoordinator(t, Config{Replicas: replicas})
+	// Two values each: the flaky replica dies after one cell, so it
+	// still owes at least one for the retry wave.
+	cells, sum := sweepThrough(t, coord.URL, sweepBody(spanningValues(t, replicas, 8, 2)))
 	if sum == nil {
 		t.Fatal("coordinator stream cut short")
 	}
 	select {
 	case <-died:
 	default:
-		// The ring happened to assign every value to the survivor; the
-		// failure path was not exercised. With 8 values across 2
-		// replicas at 64 vnodes this is effectively impossible, so
-		// treat it as a test bug worth hearing about.
 		t.Fatal("flaky replica was never asked to sweep")
 	}
 	requireExactlyOnce(t, cells, 8)
@@ -286,11 +325,12 @@ func TestCoordinatorReplicaTimesOut(t *testing.T) {
 	t.Cleanup(wedged.Close)
 	survivor := newReplicaServer(t, "survivor")
 
+	replicas := []string{wedged.URL, survivor.URL}
 	_, coord := newCoordinator(t, Config{
-		Replicas:          []string{wedged.URL, survivor.URL},
+		Replicas:          replicas,
 		StreamIdleTimeout: 150 * time.Millisecond,
 	})
-	cells, sum := sweepThrough(t, coord.URL, sweepBody(`[2, 3, 4, 5, 6, 7, 8, 9]`))
+	cells, sum := sweepThrough(t, coord.URL, sweepBody(spanningValues(t, replicas, 8, 1)))
 	if sum == nil {
 		t.Fatal("coordinator stream cut short")
 	}
@@ -474,10 +514,11 @@ func TestCoordinatorTraceSpansReplicasExactlyOnce(t *testing.T) {
 	})
 	steady, steadyTC := capture("steady", nil)
 
-	_, coord := newCoordinator(t, Config{Replicas: []string{flaky.URL, steady.URL}})
+	replicas := []string{flaky.URL, steady.URL}
+	_, coord := newCoordinator(t, Config{Replicas: replicas})
 
 	req, err := http.NewRequest(http.MethodPost, coord.URL+"/v1/sweep",
-		strings.NewReader(sweepBody(`[2, 3, 4, 5, 6, 7, 8, 9]`)))
+		strings.NewReader(sweepBody(spanningValues(t, replicas, 8, 2))))
 	if err != nil {
 		t.Fatal(err)
 	}

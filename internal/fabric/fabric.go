@@ -87,59 +87,6 @@ func (f *Fabric) Reset() {
 	f.freeN = f.p.Tiles
 }
 
-// LaneView builds a lane's view of this fabric for the simulation
-// kernel's sharded execute stage (sim lanes): the residency state, the
-// per-tile availability timeline and the busy flags are SHARED with the
-// receiver (concurrent lanes touch only their disjoint claims, so
-// sharing them is race-free and commits land directly in the master
-// state), while the per-port and per-ISP timelines — the resources a
-// round's instances contend for — are private copies, refreshed from
-// the master via SyncTimelines before each job and folded back with
-// MergeTimelines after. A nil policy keeps the receiver's; lanes whose
-// replacement draws must be private (Random) substitute their own. The
-// view's freeN/inflight bookkeeping is unused — Acquire/Release run on
-// the master only.
-func (f *Fabric) LaneView(policy reconfig.Policy) *Fabric {
-	if policy == nil {
-		policy = f.policy
-	}
-	return &Fabric{
-		p:        f.p,
-		policy:   policy,
-		state:    f.state,
-		tileFree: f.tileFree,
-		portFree: make([]model.Time, f.p.Ports),
-		ispFree:  make([]model.Time, f.p.ISPs),
-		busy:     f.busy,
-	}
-}
-
-// SyncTimelines overwrites the receiver's per-port and per-ISP
-// availability timelines from another fabric's (typically a lane view
-// refreshing from the master at a round boundary).
-func (f *Fabric) SyncTimelines(from *Fabric) {
-	copy(f.portFree, from.portFree)
-	copy(f.ispFree, from.ispFree)
-}
-
-// MergeTimelines folds another fabric's per-port and per-ISP
-// availability into the receiver's, taking the elementwise maximum.
-// The fold is order-invariant (max is commutative and associative),
-// which is what makes the lane executor's merged clock deterministic
-// for every lane count.
-func (f *Fabric) MergeTimelines(v *Fabric) {
-	for i, t := range v.portFree {
-		if t > f.portFree[i] {
-			f.portFree[i] = t
-		}
-	}
-	for i, t := range v.ispFree {
-		if t > f.ispFree[i] {
-			f.ispFree[i] = t
-		}
-	}
-}
-
 // Tiles, Ports and ISPs report the resource counts.
 func (f *Fabric) Tiles() int { return f.p.Tiles }
 

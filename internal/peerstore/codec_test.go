@@ -18,7 +18,7 @@ import (
 // testInputs builds a deterministic schedule exercising every wire
 // field: mixed configs (one shared), explicit load overrides, an ISP
 // subtask, and a payload-carrying edge.
-func testInputs(t *testing.T, tiles int) (*assign.Schedule, platform.Platform) {
+func testInputs(t testing.TB, tiles int) (*assign.Schedule, platform.Platform) {
 	t.Helper()
 	g := graph.New("codec-pipe")
 	s0 := g.AddConfigured("s0", model.MS(10), "cfgA")
@@ -42,7 +42,7 @@ func testInputs(t *testing.T, tiles int) (*assign.Schedule, platform.Platform) {
 
 // testAnalysis analyzes the testInputs schedule and returns the engine
 // fingerprint it is stored under.
-func testAnalysis(t *testing.T, tiles int) (key string, a *core.Analysis) {
+func testAnalysis(t testing.TB, tiles int) (key string, a *core.Analysis) {
 	t.Helper()
 	sched, p := testInputs(t, tiles)
 	a, err := core.Analyze(sched, p, core.Options{})
@@ -175,6 +175,62 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 		if _, err := Decode(key, reframed); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("Decode accepted an out-of-range critical set: %v", err)
+		}
+	})
+}
+
+// FuzzDecode feeds Decode both the fuzz input as a whole envelope and
+// the input as an artifact payload reframed under a valid checksum, so
+// mutations reach the structural checks rather than stopping at the
+// integrity check. Decode must reject bad input with an error, never a
+// panic; an accepted artifact must replay without panicking and
+// re-encode to bytes that decode and re-encode to themselves.
+func FuzzDecode(f *testing.F) {
+	key, _ := testAnalysis(f, 2) // the fingerprint codecGolden is bound to
+	var golden envelope
+	if err := json.Unmarshal([]byte(codecGolden), &golden); err != nil {
+		f.Fatal(err)
+	}
+	var w artifactWire
+	if err := json.Unmarshal(golden.Artifact, &w); err != nil {
+		f.Fatal(err)
+	}
+	w.CS = []int{99}
+	outOfRange, err := json.Marshal(w)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(codecGolden))
+	f.Add([]byte(golden.Artifact))
+	f.Add(outOfRange)
+	f.Add([]byte(golden.Artifact[:len(golden.Artifact)/2]))
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		framed, err := reframe(key, data)
+		if err != nil {
+			return // not a JSON payload; json.RawMessage refuses it
+		}
+		for _, in := range [][]byte{data, framed} {
+			dec, err := Decode(key, in)
+			if err != nil {
+				continue
+			}
+			// Only a panic matters here: an artifact that decodes but
+			// cannot replay is the simulator's error to report.
+			_, _ = dec.Execute(core.RunBounds{}, nil)
+			enc, err := Encode(key, dec)
+			if err != nil {
+				t.Fatalf("re-encoding an accepted artifact: %v", err)
+			}
+			dec2, err := Decode(key, enc)
+			if err != nil {
+				t.Fatalf("decoding a re-encoded artifact: %v\n%s", err, enc)
+			}
+			enc2, err := Encode(key, dec2)
+			if err != nil || string(enc2) != string(enc) {
+				t.Fatalf("round trip changed the artifact (%v):\n%s\n%s", err, enc, enc2)
+			}
 		}
 	})
 }

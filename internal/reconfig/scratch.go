@@ -100,8 +100,7 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 		cfg := s.G.Subtask(s.TileOrder[v][0]).Config
 		// The taken filter comes first — before the element read, so a
 		// restricted Allowed set never reads residency outside the
-		// claim, like every other pass — which is what lets concurrent
-		// lane executors map onto disjoint claims of one shared State.
+		// claim, like every other pass.
 		for t := range st.Configs {
 			if taken[t] {
 				continue

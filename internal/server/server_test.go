@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -338,9 +339,7 @@ func TestSimulateMultitaskStreamReportsInFlight(t *testing.T) {
 // TestSimulateParallelism: a workload that opts into sharded execution
 // via "sim.parallelism" reports "execution": "sharded" and its worker
 // count on the wire — under serial and partition admission alike — and
-// the one still-unsupported combination (greedy admission with lane
-// executors) is a 400 on both the plain and streaming paths, never a
-// 500.
+// a document still carrying the removed "lanes" field runs in order.
 func TestSimulateParallelism(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -395,35 +394,28 @@ func TestSimulateParallelism(t *testing.T) {
 		}
 	}
 
-	// Greedy admission keeps the typed lane rejection: its grants read
-	// whole-fabric residency, so the event loop cannot be laned.
-	greedyLanes := strings.Replace(multitaskDoc,
-		`"multitask": {"mode": "partition", "partitions": 2}`,
-		`"multitask": {"mode": "greedy", "lanes": 2}`, 1)
-	for _, path := range []string{"/v1/simulate", "/v1/simulate?stream=iterations"} {
-		resp, body = post(t, ts.URL+path, greedyLanes)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s with greedy+lanes: status = %d, want 400: %s", path, resp.StatusCode, body)
-		}
-		if !strings.Contains(body, "greedy multitask admission cannot shard") {
-			t.Fatalf("%s error does not name the lane constraint: %s", path, body)
-		}
-	}
-
-	// Partition admission with lanes is the supported intra-run sharding.
+	// A document written for the removed lane executor still decodes:
+	// the unknown "lanes" field is ignored and the run takes the
+	// in-order stage, so its aggregates match the plain document's.
 	laned := strings.Replace(multitaskDoc,
 		`"multitask": {"mode": "partition", "partitions": 2}`,
 		`"multitask": {"mode": "partition", "partitions": 2, "lanes": 2}`, 1)
-	resp, body = post(t, ts.URL+"/v1/simulate", laned)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("laned run: status = %d: %s", resp.StatusCode, body)
+	var inOrder, lr SimulateResponse
+	for _, run := range []struct {
+		doc string
+		out *SimulateResponse
+	}{{multitaskDoc, &inOrder}, {laned, &lr}} {
+		resp, body = post(t, ts.URL+"/v1/simulate", run.doc)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("partition run: status = %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal([]byte(body), run.out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var lr SimulateResponse
-	if err := json.Unmarshal([]byte(body), &lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.MultitaskMode != "partition" || lr.MaxInFlight < 2 {
-		t.Fatalf("laned run aggregates look wrong: mode=%q maxInFlight=%d", lr.MultitaskMode, lr.MaxInFlight)
+	lr.CacheHits, lr.CacheMisses, lr.Cache = inOrder.CacheHits, inOrder.CacheMisses, inOrder.Cache
+	if !reflect.DeepEqual(lr, inOrder) {
+		t.Fatalf("document with lanes diverges from the in-order run:\n got  %+v\n want %+v", lr, inOrder)
 	}
 }
 

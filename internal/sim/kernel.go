@@ -27,7 +27,7 @@ import (
 // arrival (TCM energy-aware selection in deadline mode), the
 // event-driven execute stage admits the arrivals onto fabric claims and
 // retires their completions, and accounting folds the outcome into the
-// aggregate, the streaming tail estimators, and the optional Observer.
+// aggregate, the mergeable tail sketches, and the optional Observer.
 //
 // All shared platform run-time state — tile residency, per-tile /
 // per-port / per-ISP availability, the replacement-policy hook — lives
@@ -46,12 +46,13 @@ import (
 // buffers (BenchmarkSimRun and TestSimRunAllocs track this, for the
 // serial and multitask paths both).
 
-// kernel carries one run's state across the stages. In sharded mode
-// (Options.Parallelism >= 1) one master kernel owns the prepared
-// artifacts and the final aggregate while each worker drives its own
-// shard kernel — a full copy of the run-time state (fabric, scratch,
-// RNG, estimators) over the shared read-only design-time tables — so
-// the single-goroutine hot path below runs unchanged on every shard.
+// kernel carries one run's state across the stages. The sequential
+// path runs the master kernel itself as one chunk; in sharded mode
+// (Options.Parallelism >= 1) the master owns the prepared artifacts and
+// the final aggregate while each worker drives its own shard kernel — a
+// full copy of the run-time state (fabric, scratch, RNG, sketches) over
+// the shared read-only design-time tables — so the single-goroutine
+// chunk loop below runs unchanged on every shard.
 type kernel struct {
 	mix  []TaskMix
 	p    platform.Platform
@@ -67,16 +68,6 @@ type kernel struct {
 	partitions int
 	clock      model.Time
 
-	// lanes is the resolved Multitask.Lanes: 0 keeps the in-order
-	// execute stage, >= 1 shards it round-wise across that many lane
-	// executors (lanes.go). The lane state below is built lazily on
-	// first use, per kernel, so shard kernels get their own lanes.
-	lanes        int
-	laneKs       []*kernel
-	laneAcc      []*fabric.Fabric
-	lanePartials []Result
-	laneErrs     []error
-
 	useReuse  bool
 	interTask bool
 
@@ -88,10 +79,12 @@ type kernel struct {
 	isrc         IndexedSource
 	polRng       *rand.Rand
 
-	mkQ tailEstimator // per-iteration makespan tail (ms)
-	ovQ tailEstimator // per-iteration overhead tail (ms)
-	qdQ tailEstimator // per-instance queueing-delay tail (ms)
-	rtQ tailEstimator // per-instance response-time tail (ms)
+	// The tails are mergeable sketches on every path, so shard tails
+	// fold into the master's exactly, whatever the worker count.
+	mkQ *stats.Sketch // per-iteration makespan tail (ms)
+	ovQ *stats.Sketch // per-iteration overhead tail (ms)
+	qdQ *stats.Sketch // per-instance queueing-delay tail (ms)
+	rtQ *stats.Sketch // per-instance response-time tail (ms)
 
 	maxInFlight int
 	peakQueued  int
@@ -104,16 +97,6 @@ type kernel struct {
 	curIter int
 
 	sc scratch
-}
-
-// tailEstimator is the streaming-quantile seam: the sequential path
-// keeps the P² estimator (stats.Quantiles) whose estimates all
-// historical aggregates are pinned against; the sharded path uses the
-// mergeable sketch (stats.Sketch) so per-shard tails combine into one
-// order-invariant result.
-type tailEstimator interface {
-	Add(float64)
-	Quantile(float64) float64
 }
 
 // flight is one admitted, not-yet-retired instance of the execute
@@ -206,14 +189,8 @@ func Validate(mix []TaskMix, p platform.Platform, opt Options) error {
 	if err := validateWeights(mix); err != nil {
 		return err
 	}
-	_, _, _, lanes, err := opt.Multitask.resolve(p.Tiles)
-	if err != nil {
+	if _, _, _, err := opt.Multitask.resolve(p.Tiles); err != nil {
 		return err
-	}
-	if opt.Trace != nil && lanes > 0 {
-		// The lane executor runs a round's instances concurrently; their
-		// events cannot interleave into the in-order run timeline.
-		return fmt.Errorf("sim: tracing (Options.Trace) requires the in-order execute stage: set Multitask.Lanes 0, not %d", lanes)
 	}
 	arrivals := opt.Arrivals
 	if arrivals == nil {
@@ -275,7 +252,7 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 		rng: rand.New(rand.NewSource(opt.Seed)),
 		src: src,
 	}
-	k.alloc, k.modeName, k.partitions, k.lanes, err = opt.Multitask.resolve(p.Tiles)
+	k.alloc, k.modeName, k.partitions, err = opt.Multitask.resolve(p.Tiles)
 	if err != nil {
 		return nil, err
 	}
@@ -305,20 +282,16 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 	}
 
 	k.fab = fabric.New(p, policy)
-	if k.shardWorkers > 0 {
-		// Sharded runs merge per-shard tails into the master's
-		// sketches; the sequential path keeps the P²-pinned estimators.
-		k.mkQ = stats.NewSketch(0)
-		k.ovQ = stats.NewSketch(0)
-		k.qdQ = stats.NewSketch(0)
-		k.rtQ = stats.NewSketch(0)
-	} else {
-		k.mkQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-		k.ovQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-		k.qdQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-		k.rtQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-	}
+	k.newSketches()
 	return k, nil
+}
+
+// newSketches gives the kernel empty tail sketches.
+func (k *kernel) newSketches() {
+	k.mkQ = stats.NewSketch(0)
+	k.ovQ = stats.NewSketch(0)
+	k.qdQ = stats.NewSketch(0)
+	k.rtQ = stats.NewSketch(0)
 }
 
 // bindScratch installs the per-kernel scratch closures the hot path
@@ -410,36 +383,72 @@ func (k *kernel) canceled() error {
 	return k.opt.Context.Err()
 }
 
-// run executes the per-iteration stages and finishes the aggregate.
+// run executes the per-iteration stages and finishes the aggregate. The
+// sequential path is the single chunk [0, Iterations) on the master
+// kernel, drawing from the run's legacy stream and reporting straight
+// to the Observer, so ?stream=iterations consumers see records live.
 func (k *kernel) run() (*Result, error) {
 	if k.shardWorkers > 0 {
 		return k.runSharded()
 	}
-	for iter := 0; iter < k.opt.Iterations; iter++ {
-		if err := k.canceled(); err != nil {
-			return nil, fmt.Errorf("sim: canceled after %d of %d iterations: %w", iter, k.opt.Iterations, err)
-		}
-		// Stage 1: draw this iteration's application set and order (the
-		// TCM run-time scheduler identifies the current scenario of
-		// every running task before selecting points).
-		todo := k.src.Draw(k.rng, k.sc.todo[:0])
-		k.sc.todo = todo
-
-		rec, err := k.iterate(iter, todo)
-		if err != nil {
-			return nil, err
-		}
-		if k.opt.Observer != nil {
-			k.opt.Observer(rec)
-		}
+	if err := k.runChunk(0, k.opt.Iterations, k.res, (*kernel).drawLegacy, k.opt.Observer); err != nil {
+		return nil, err
 	}
 	return k.finish(), nil
 }
 
+// drawFunc is stage 1, the draw of one iteration's application set and
+// order into the kernel's scratch (the TCM run-time scheduler
+// identifies the current scenario of every running task before
+// selecting points).
+type drawFunc func(k *kernel, iter int) []int
+
+// drawLegacy continues the sequential run's single rand.NewSource(Seed)
+// stream, the one every historical aggregate is pinned against.
+func (k *kernel) drawLegacy(int) []int {
+	k.sc.todo = k.src.Draw(k.rng, k.sc.todo[:0])
+	return k.sc.todo
+}
+
+// drawIndexed re-points a shard kernel's generators at iteration iter's
+// own counter-derived streams (seed.go) and draws from them, so the
+// draw is a function of the iteration alone.
+func (k *kernel) drawIndexed(iter int) []int {
+	reseedStream(k.rng, k.opt.Seed, drawDomain, int64(iter))
+	if k.polRng != nil {
+		reseedStream(k.polRng, k.opt.Seed, policyDomain, int64(iter))
+	}
+	k.sc.todo = k.isrc.DrawAt(iter, k.rng, k.sc.todo[:0])
+	return k.sc.todo
+}
+
+// runChunk is the kernel's one iteration loop. It runs iterations
+// [lo, hi) as one replication — cold fabric and clock at lo, tile
+// residency and availability carried across the chunk's iterations —
+// accumulating into res. draw supplies each iteration's arrivals; emit,
+// when non-nil, receives each iteration's record in order.
+func (k *kernel) runChunk(lo, hi int, res *Result, draw drawFunc, emit Observer) error {
+	k.res = res
+	k.fab.Reset()
+	k.clock = 0
+	for iter := lo; iter < hi; iter++ {
+		if err := k.canceled(); err != nil {
+			return fmt.Errorf("sim: canceled at iteration %d of %d: %w", iter, k.opt.Iterations, err)
+		}
+		rec, err := k.iterate(iter, draw(k, iter))
+		if err != nil {
+			return err
+		}
+		if emit != nil {
+			emit(rec)
+		}
+	}
+	return nil
+}
+
 // iterate runs stages 2–4 for one iteration whose arrivals are already
-// drawn, folding the outcome into k.res and the tail estimators, and
-// returns the iteration's record. It is the body shared by the
-// sequential loop and the sharded executor.
+// drawn, folding the outcome into k.res and the tail sketches, and
+// returns the iteration's record.
 func (k *kernel) iterate(iter int, todo []int) (IterationRecord, error) {
 	k.curIter = iter
 
@@ -553,9 +562,6 @@ func (k *kernel) selectInstances(todo []int) ([]*prepared, bool, error) {
 // one instance is in flight at a time and the loop reproduces the
 // sequential back-to-back replay bit for bit.
 func (k *kernel) executeIteration(instances []*prepared) (int, error) {
-	if k.lanes > 0 {
-		return k.executeIterationLanes(instances)
-	}
 	sc := &k.sc
 	arrival := k.clock
 	flights := sc.flights[:0]
@@ -1001,7 +1007,7 @@ func (sc *scratch) tileLastFrom(s *assign.Schedule, tl *schedule.Timeline) []mod
 	return last
 }
 
-// finish folds the tail estimators into the aggregate.
+// finish folds the tail sketches into the aggregate.
 func (k *kernel) finish() *Result {
 	res := k.res
 	if res.IdealTotal > 0 {

@@ -28,21 +28,6 @@ type Multitask struct {
 	// Setting it with any other mode is an error (it would be silently
 	// ignored otherwise).
 	Partitions int
-	// Lanes shards the execute stage's event loop itself (partition
-	// mode only): an admission round's instances run concurrently on
-	// that many lane executors over their disjoint tile claims, with a
-	// deterministic merged clock arbitrating the shared port and ISP
-	// timelines at the hand-off points (see lanes.go). Zero keeps the
-	// in-order execute stage. Results are identical for every
-	// Lanes >= 1 (a lane count changes speed, never outcomes) and form
-	// their own documented semantics family: a round's instances see
-	// the port/ISP timelines as of the round start instead of chaining
-	// through the round's earlier admissions. Lanes with greedy
-	// admission fails with ErrParallelMultitask — greedy grants read
-	// whole-fabric residency, so there is no disjoint per-lane state —
-	// and with serial admission it is rejected like Partitions (a
-	// serial round has one instance; there is nothing to shard).
-	Lanes int
 }
 
 // MultitaskModes lists the admission-mode wire names, in documentation
@@ -51,39 +36,29 @@ type Multitask struct {
 func MultitaskModes() []string { return []string{"serial", "partition", "greedy"} }
 
 // resolve validates the configuration against the platform's tile count
-// and materializes the admission policy, the canonical mode name, the
-// effective partition count (zero outside partition mode), and the lane
-// count of the sharded execute stage (zero keeps the in-order stage).
-func (m Multitask) resolve(tiles int) (fabric.Allocation, string, int, int, error) {
-	if m.Lanes < 0 {
-		return nil, "", 0, 0, fmt.Errorf("sim: multitask lanes %d is invalid (0 in-order, or a positive lane count)", m.Lanes)
-	}
+// and materializes the admission policy, the canonical mode name and the
+// effective partition count (zero outside partition mode).
+func (m Multitask) resolve(tiles int) (fabric.Allocation, string, int, error) {
 	switch m.Mode {
 	case "", "serial":
 		if m.Partitions != 0 {
-			return nil, "", 0, 0, fmt.Errorf("sim: multitask partitions=%d is only meaningful in partition mode", m.Partitions)
+			return nil, "", 0, fmt.Errorf("sim: multitask partitions=%d is only meaningful in partition mode", m.Partitions)
 		}
-		if m.Lanes != 0 {
-			return nil, "", 0, 0, fmt.Errorf("sim: multitask lanes=%d is only meaningful in partition mode (a serial round has one instance)", m.Lanes)
-		}
-		return fabric.Serial{}, "serial", 0, 0, nil
+		return fabric.Serial{}, "serial", 0, nil
 	case "partition":
 		n := m.Partitions
 		if n == 0 {
 			n = 2
 		}
 		if n < 1 || n > tiles {
-			return nil, "", 0, 0, fmt.Errorf("sim: multitask partition count %d out of range [1, %d tiles]", n, tiles)
+			return nil, "", 0, fmt.Errorf("sim: multitask partition count %d out of range [1, %d tiles]", n, tiles)
 		}
-		return fabric.Partition{Blocks: n}, "partition", n, m.Lanes, nil
+		return fabric.Partition{Blocks: n}, "partition", n, nil
 	case "greedy":
 		if m.Partitions != 0 {
-			return nil, "", 0, 0, fmt.Errorf("sim: multitask partitions=%d is only meaningful in partition mode", m.Partitions)
+			return nil, "", 0, fmt.Errorf("sim: multitask partitions=%d is only meaningful in partition mode", m.Partitions)
 		}
-		if m.Lanes != 0 {
-			return nil, "", 0, 0, fmt.Errorf("sim: multitask lanes=%d with greedy admission: %w", m.Lanes, ErrParallelMultitask)
-		}
-		return fabric.Greedy{}, "greedy", 0, 0, nil
+		return fabric.Greedy{}, "greedy", 0, nil
 	}
-	return nil, "", 0, 0, fmt.Errorf("sim: unknown multitask mode %q (serial|partition|greedy)", m.Mode)
+	return nil, "", 0, fmt.Errorf("sim: unknown multitask mode %q (serial|partition|greedy)", m.Mode)
 }

@@ -3,7 +3,7 @@ package sim
 import "drhwsched/internal/model"
 
 // IterationRecord is what the kernel's accounting stage emits once per
-// iteration: the aggregate a streaming consumer (tail estimators, the
+// iteration: the aggregate a streaming consumer (tail sketches, the
 // drhwd NDJSON stream) needs without retaining per-instance detail.
 type IterationRecord struct {
 	// Iteration is the zero-based iteration index.
@@ -45,7 +45,8 @@ type IterationRecord struct {
 type Observer func(IterationRecord)
 
 // Tail summarizes a per-iteration distribution: streaming P50/P95/P99
-// estimates (P² algorithm, internal/stats) in milliseconds.
+// estimates in milliseconds, each within stats.DefaultSketchAlpha
+// relative error of the exact sample quantile (stats.Sketch).
 type Tail struct {
 	P50 float64
 	P95 float64

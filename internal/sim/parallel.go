@@ -15,12 +15,12 @@ import (
 // The sharded executor (Options.Parallelism >= 1).
 //
 // The iteration stream is cut into fixed-size chunks, each an
-// independent Monte-Carlo replication: a shard starts a chunk on a cold
-// fabric at clock zero, then runs the chunk's iterations with the same
-// staged warm-chain body as the sequential path — tile residency and
-// availability carry across the iterations inside a chunk (the paper's
-// cross-iteration reuse mechanism stays alive), and reset at chunk
-// boundaries. Every iteration's randomness comes from its own
+// independent Monte-Carlo replication run by the kernel's one chunk
+// loop (runChunk), which the sequential path runs over the single chunk
+// [0, N). A shard starts a chunk on a cold fabric at clock zero; tile
+// residency and availability carry across the iterations inside a chunk
+// (the paper's cross-iteration reuse mechanism stays alive), and reset
+// at chunk boundaries. Every iteration's randomness comes from its own
 // counter-derived stream (seed.go), so a chunk's outcome is a pure
 // function of (inputs, Seed, chunk index) — the only remaining
 // shard-count hazard is accumulation order, handled by merging the
@@ -84,7 +84,15 @@ func (k *kernel) runSharded() (*Result, error) {
 				if c >= chunks {
 					return
 				}
-				err := sh.runChunk(c, total, &partials[c], recs)
+				lo := c * shardChunk
+				hi := min(lo+shardChunk, total)
+				var emit Observer
+				if recs != nil {
+					// The coordinator flushes each chunk's buffer in order.
+					recs[c] = make([]IterationRecord, 0, hi-lo)
+					emit = func(rec IterationRecord) { recs[c] = append(recs[c], rec) }
+				}
+				err := sh.runChunk(lo, hi, &partials[c], (*kernel).drawIndexed, emit)
 				if err != nil {
 					failed.Store(true)
 				}
@@ -141,10 +149,10 @@ func (k *kernel) runSharded() (*Result, error) {
 		for i, d := range sh.ispBusy {
 			k.ispBusy[i] += d
 		}
-		for _, m := range [...]struct{ dst, src tailEstimator }{
+		for _, m := range [...][2]*stats.Sketch{
 			{k.mkQ, sh.mkQ}, {k.ovQ, sh.ovQ}, {k.qdQ, sh.qdQ}, {k.rtQ, sh.rtQ},
 		} {
-			if err := m.dst.(*stats.Sketch).Merge(m.src.(*stats.Sketch)); err != nil {
+			if err := m[0].Merge(m[1]); err != nil {
 				return nil, err
 			}
 		}
@@ -152,56 +160,10 @@ func (k *kernel) runSharded() (*Result, error) {
 	return k.finish(), nil
 }
 
-// runChunk executes the replication of iterations [c*shardChunk,
-// min((c+1)*shardChunk, total)) on this shard: cold fabric and clock at
-// the chunk start, warm chaining within, accumulation into the chunk's
-// own partial. Observer records are buffered per chunk (recs non-nil)
-// for the coordinator to flush in order.
-func (sh *kernel) runChunk(c, total int, partial *Result, recs [][]IterationRecord) error {
-	sh.res = partial
-	sh.fab.Reset()
-	sh.clock = 0
-	lo := c * shardChunk
-	hi := min(lo+shardChunk, total)
-	var buf []IterationRecord
-	if recs != nil {
-		buf = make([]IterationRecord, 0, hi-lo)
-	}
-	for iter := lo; iter < hi; iter++ {
-		if err := sh.canceled(); err != nil {
-			return fmt.Errorf("sim: canceled during sharded run: %w", err)
-		}
-		rec, err := sh.shardIterate(iter)
-		if err != nil {
-			return err
-		}
-		if recs != nil {
-			buf = append(buf, rec)
-		}
-	}
-	if recs != nil {
-		recs[c] = buf
-	}
-	return nil
-}
-
-// shardIterate runs one iteration of a chunk replication: randomness
-// from the iteration's own streams, fabric state carried from the
-// chunk's earlier iterations.
-func (sh *kernel) shardIterate(iter int) (IterationRecord, error) {
-	reseedStream(sh.rng, sh.opt.Seed, drawDomain, int64(iter))
-	if sh.polRng != nil {
-		reseedStream(sh.polRng, sh.opt.Seed, policyDomain, int64(iter))
-	}
-	todo := sh.isrc.DrawAt(iter, sh.rng, sh.sc.todo[:0])
-	sh.sc.todo = todo
-	return sh.iterate(iter, todo)
-}
-
 // newShard clones the master kernel into a worker-owned copy: shared
 // read-only design-time tables (mix, platform, prepared artifacts,
 // admission policy), private everything-else (fabric, scratch,
-// estimators, generators). The clone's hot path is the same
+// sketches, generators). The clone's hot path is the same
 // single-goroutine code the sequential kernel runs.
 func (k *kernel) newShard() (*kernel, error) {
 	sh := &kernel{
@@ -212,7 +174,6 @@ func (k *kernel) newShard() (*kernel, error) {
 		alloc:        k.alloc,
 		modeName:     k.modeName,
 		partitions:   k.partitions,
-		lanes:        k.lanes,
 		useReuse:     k.useReuse,
 		interTask:    k.interTask,
 		shardWorkers: k.shardWorkers,
@@ -225,7 +186,7 @@ func (k *kernel) newShard() (*kernel, error) {
 	}
 	if _, ok := policy.(reconfig.Random); ok {
 		// The one stateful policy: each shard draws victims from its
-		// own generator, re-pointed per iteration (shardIterate), so
+		// own generator, re-pointed per iteration (drawIndexed), so
 		// victim choices stay a function of the iteration alone.
 		sh.polRng = rand.New(&splitmixSource{})
 		policy = reconfig.Random{Rng: sh.polRng}
@@ -248,10 +209,7 @@ func (k *kernel) newShard() (*kernel, error) {
 	}
 	sh.isrc = isrc
 
-	sh.mkQ = stats.NewSketch(0)
-	sh.ovQ = stats.NewSketch(0)
-	sh.qdQ = stats.NewSketch(0)
-	sh.rtQ = stats.NewSketch(0)
+	sh.newSketches()
 	sh.bindScratch()
 	return sh, nil
 }

@@ -33,7 +33,6 @@ const (
 	drawDomain   uint64 = 0xd1b54a32d192ed03 // arrival + scenario draws of one iteration
 	policyDomain uint64 = 0x8cb92ba72f3d8dd7 // random-replacement draws of one iteration
 	phaseDomain  uint64 = 0xa24baed4963ee407 // on-off Markov phase precomputation
-	laneDomain   uint64 = 0xc6a4a7935bd1e995 // random-replacement draws of one lane job (lanes.go)
 )
 
 const golden uint64 = 0x9e3779b97f4a7c15

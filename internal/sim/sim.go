@@ -10,7 +10,7 @@
 // preparation, then per iteration a pluggable arrival draw (Arrivals),
 // Pareto point selection, event-driven instance execution over the
 // shared fabric layer (internal/fabric) on reusable scratch buffers,
-// and accounting that feeds streaming tail estimators and an optional
+// and accounting that feeds mergeable tail sketches and an optional
 // per-iteration Observer. Options.Multitask selects how instances are
 // admitted onto the fabric: serially (the paper's one-instance-owns-
 // the-FPGA model, the default) or concurrently onto disjoint tile
@@ -33,7 +33,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -98,16 +97,6 @@ type TaskMix struct {
 // explicit worker count would error instead. The chosen count is
 // recorded in Result.Workers.
 const AutoParallelism = -1
-
-// ErrParallelMultitask is returned (wrapped) when an explicit
-// per-partition lane count (Multitask.Lanes >= 1) is combined with
-// greedy admission. Greedy grants read the whole fabric's residency to
-// prefer configuration-affine tiles, so a grant can depend on what the
-// previous instance of the same admission round left behind — there is
-// no disjoint per-lane residency to shard the event loop over. Chunk
-// sharding (Options.Parallelism) works for greedy like any other mode;
-// only the intra-run lane executor is partition-only.
-var ErrParallelMultitask = errors.New("greedy multitask admission cannot shard the fabric event loop into lanes")
 
 // Options configure a simulation run.
 type Options struct {

@@ -45,11 +45,11 @@ func TestRegistriesMatchParsers(t *testing.T) {
 	}
 
 	for _, name := range MultitaskModes() {
-		if _, err := ParseMultitask(name, 0, 0); err != nil {
+		if _, err := ParseMultitask(name, 0); err != nil {
 			t.Errorf("registry multitask mode %q rejected: %v", name, err)
 		}
 	}
-	if _, err := ParseMultitask("anarchy", 0, 0); err == nil || !strings.Contains(err.Error(), Usage(MultitaskModes())) {
+	if _, err := ParseMultitask("anarchy", 0); err == nil || !strings.Contains(err.Error(), Usage(MultitaskModes())) {
 		t.Errorf("ParseMultitask error does not advertise the registry: %v", err)
 	}
 
