@@ -215,6 +215,12 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
+// bodyReadTimeout bounds the whole request read, body included.
+// Without it a client trickling a sweep body one byte at a time would
+// hold an admission slot indefinitely: handleSweep's io.ReadAll is not
+// context-aware. It is a variable only so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
+
 // Serve runs the coordinator on l until ctx is canceled, then drains
 // in-flight requests for up to DrainTimeout.
 func (c *Coordinator) Serve(ctx context.Context, l net.Listener) error {
@@ -223,6 +229,7 @@ func (c *Coordinator) Serve(ctx context.Context, l net.Listener) error {
 	hs := &http.Server{
 		Handler:           c,
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       bodyReadTimeout,
 		BaseContext:       func(net.Listener) context.Context { return base },
 	}
 	errc := make(chan error, 1)

@@ -3,18 +3,23 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"drhwsched/internal/obs"
 	"drhwsched/internal/server"
+	"drhwsched/internal/workload"
 )
 
 // sweepBody is the request every e2e test drives: a tiles sweep whose
@@ -628,5 +633,105 @@ func TestCoordinatorTraceSpansReplicasExactlyOnce(t *testing.T) {
 		if d.ElapsedMS < 0 {
 			t.Fatalf("dispatch %+v has negative elapsed time", d)
 		}
+	}
+}
+
+// TestCoordinatorRefusesBeforeKeying: an over-limit sweep is refused
+// with 413 before any shard key is derived (keying list-schedules every
+// scenario once per swept value), while an admitted sweep does derive
+// them.
+func TestCoordinatorRefusesBeforeKeying(t *testing.T) {
+	var derived atomic.Int64
+	defer func(f func(*workload.RunSpec, string, int, int) string) { deriveKey = f }(deriveKey)
+	deriveKey = func(spec *workload.RunSpec, param string, x, vi int) string {
+		derived.Add(1)
+		return shardKey(spec, param, x, vi)
+	}
+	r1 := newReplicaServer(t, "r1")
+	_, cells := newCoordinator(t, Config{Replicas: []string{r1.URL}, MaxSweepCells: 3})
+	_, subtasks := newCoordinator(t, Config{Replicas: []string{r1.URL}, MaxSubtasks: 2})
+	post := func(url, body string) int {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(cells.URL, sweepBody(`[2, 3, 4, 5]`)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over MaxSweepCells: status %d", code)
+	}
+	if code := post(subtasks.URL, sweepBody(`[2]`)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over MaxSubtasks: status %d", code)
+	}
+	if n := derived.Load(); n != 0 {
+		t.Fatalf("refused sweeps derived %d shard keys", n)
+	}
+	if code := post(cells.URL, sweepBody(`[2, 3]`)); code != http.StatusOK {
+		t.Fatalf("admitted sweep: status %d", code)
+	}
+	if n := derived.Load(); n != 2 {
+		t.Fatalf("admitted two-value sweep derived %d shard keys, want 2", n)
+	}
+}
+
+// TestCoordinatorSlowBodyReturnsSlot: a client trickling its sweep body
+// holds the only admission slot until the body read times out, and the
+// slot is returned after that.
+func TestCoordinatorSlowBodyReturnsSlot(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 2 * time.Second
+	r1 := newReplicaServer(t, "r1")
+	c, err := New(Config{Replicas: []string{r1.URL}, MaxInFlight: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- c.Serve(ctx, l) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Headers promise 1000 body bytes; only one ever arrives.
+	fmt.Fprint(conn, "POST /v1/sweep HTTP/1.1\r\nHost: coord\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n{")
+
+	// A malformed probe answers 400 when admitted and 429 while the
+	// trickler holds the slot.
+	probe := func() int {
+		resp, err := http.Post("http://"+l.Addr().String()+"/v1/sweep", "application/json", strings.NewReader("{"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	deadline := time.Now().Add(bodyReadTimeout)
+	for probe() != http.StatusTooManyRequests {
+		if time.Now().After(deadline) {
+			t.Fatal("the trickling request never held the admission slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	deadline = time.Now().Add(10 * bodyReadTimeout)
+	for probe() == http.StatusTooManyRequests {
+		if time.Now().After(deadline) {
+			t.Fatal("the trickling request kept its admission slot past the body read timeout")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

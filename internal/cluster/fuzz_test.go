@@ -67,17 +67,16 @@ func FuzzParseGrid(f *testing.F) {
 			t.Fatalf("re-parsing an accepted grid: %v\n%s", err, body)
 		}
 		if g2.Param != g.Param || !reflect.DeepEqual(g2.Values, g.Values) ||
-			!reflect.DeepEqual(g2.Lines, g.Lines) || !reflect.DeepEqual(g2.keys, g.keys) {
+			!reflect.DeepEqual(g2.Lines, g.Lines) || !reflect.DeepEqual(g2.shardKeys(), g.shardKeys()) {
 			t.Fatalf("round trip changed the grid:\n%+v\n%+v", g, g2)
 		}
 	})
 }
 
-// smallSweep keeps fuzzed requests cheap. ParseGrid list-schedules
-// every scenario once per value to derive shard keys, and it does so
-// before the coordinator's size limits apply, so a request for huge
-// platforms or many values would spend the fuzzer's time and memory on
-// scheduling rather than on decoding.
+// smallSweep keeps fuzzed requests cheap. Deriving the shard keys the
+// round trip compares list-schedules every scenario once per value, so
+// a request for huge platforms or many values would spend the fuzzer's
+// time and memory on scheduling rather than on decoding.
 func smallSweep(req *server.SweepRequest) bool {
 	if len(req.Values) > 16 {
 		return false

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"drhwsched/internal/assign"
 	"drhwsched/internal/core"
@@ -24,14 +25,22 @@ type Grid struct {
 	Param  string          // "tiles" (default) or "seed"
 	Values []int
 	Lines  []string
-	keys   []string // shard key per value position
 	spec   *workload.RunSpec
+
+	keysOnce sync.Once
+	keys     []string // shard key per value position, derived on first use
 }
+
+// deriveKey is shardKey, as a variable so tests can count derivations.
+var deriveKey = shardKey
 
 // ParseGrid validates a sweep request and expands its grid, mirroring
 // the checks drhwd applies (so the coordinator refuses what a replica
 // would refuse, before fanning anything out). Size bounds are the
 // caller's job — Subtasks and Cells report the quantities to check.
+// ParseGrid derives no shard keys: that list-schedules every scenario
+// once per swept value, so Key and Assign derive them on first use,
+// after the caller has refused an oversized request.
 func ParseGrid(req *server.SweepRequest) (*Grid, error) {
 	if len(req.Workload) == 0 {
 		return nil, fmt.Errorf("sweep: missing workload document")
@@ -66,18 +75,24 @@ func ParseGrid(req *server.SweepRequest) (*Grid, error) {
 			return nil, err
 		}
 	}
-	g := &Grid{
+	return &Grid{
 		Raw:    req.Workload,
 		Param:  param,
 		Values: req.Values,
 		Lines:  lines,
-		keys:   make([]string, len(req.Values)),
 		spec:   spec,
-	}
-	for vi, x := range req.Values {
-		g.keys[vi] = shardKey(spec, param, x, vi)
-	}
-	return g, nil
+	}, nil
+}
+
+// shardKeys derives every value's shard key once.
+func (g *Grid) shardKeys() []string {
+	g.keysOnce.Do(func() {
+		g.keys = make([]string, len(g.Values))
+		for vi, x := range g.Values {
+			g.keys[vi] = deriveKey(g.spec, g.Param, x, vi)
+		}
+	})
+	return g.keys
 }
 
 // Cells is the grid size.
@@ -92,16 +107,17 @@ func (g *Grid) Subtasks() int { return g.spec.Subtasks() }
 func (g *Grid) Index(vi, li int) int { return vi*len(g.Lines) + li }
 
 // Key returns the shard key of value position vi.
-func (g *Grid) Key(vi int) string { return g.keys[vi] }
+func (g *Grid) Key(vi int) string { return g.shardKeys()[vi] }
 
 // Assign partitions the given value positions over the ring by shard
 // key, returning node → value positions (each list ascending, so the
 // sub-request sent to a replica enumerates its values in global grid
 // order).
 func (g *Grid) Assign(r *Ring, vis []int) map[string][]int {
+	keys := g.shardKeys()
 	out := map[string][]int{}
 	for _, vi := range vis {
-		node := r.Lookup(g.keys[vi])
+		node := r.Lookup(keys[vi])
 		if node == "" {
 			continue
 		}

@@ -15,12 +15,10 @@ import (
 // next ExecuteScratch call on it. The zero value is ready to use; an
 // ExecScratch must not be shared between goroutines.
 type ExecScratch struct {
-	body      schedule.Scratch
-	ideal     schedule.Scratch
-	need      []bool
-	idealNeed []bool
-	tileFree  []model.Time
-	res       RunResult
+	eval     schedule.Scratch // binds the stored schedule once per call
+	need     []bool
+	tileFree []model.Time
+	res      RunResult
 }
 
 // planInto is Plan writing into a caller-owned InstancePlan whose
@@ -80,43 +78,41 @@ func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) b
 	}
 	r.BodyStart = model.MaxT(rb.TaskStart, r.InitEnd)
 
-	// Body: the design-time schedule with reused loads cancelled. The
-	// critical subtasks are resident by construction now.
+	// Ideal reference: the stored decisions with no loads, starting at
+	// TaskStart with the tiles as the previous task left them. It is
+	// evaluated first so the body timeline stays live in the scratch.
 	n := a.Sched.G.Len()
 	if cap(sc.need) < n {
 		sc.need = make([]bool, n)
 	}
-	in := a.Sched.EngineInputNeed(a.P, r.Plan.BodyLoads, sc.need[:n])
-	in.ExecFloor = r.BodyStart
+	in := a.Sched.EngineInputNeed(a.P, nil, sc.need[:n])
+	in.ExecFloor = rb.TaskStart
 	in.LoadFloor = model.MaxT(rb.PortFree, r.InitEnd)
+	in.TileFree = rb.TileFree
+	if err := sc.eval.Bind(in); err != nil {
+		return nil, fmt.Errorf("core: body schedule: %w", err)
+	}
+	idealTL, err := sc.eval.Eval(in)
+	if err != nil {
+		return nil, fmt.Errorf("core: ideal reference: %w", err)
+	}
+	r.Ideal = idealTL.End.Sub(rb.TaskStart)
+
+	// Body: the design-time schedule with reused loads cancelled. The
+	// critical subtasks are resident by construction now.
+	for _, id := range r.Plan.BodyLoads {
+		in.NeedLoad[id] = true
+	}
+	in.PortOrder = r.Plan.BodyLoads
+	in.ExecFloor = r.BodyStart
 	in.TileFree = tileFree
-	tl, err := sc.body.Compute(in)
+	tl, err := sc.eval.Eval(in)
 	if err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
 	r.Timeline = tl
 
-	// Ideal reference: same decisions, no loads, starting at TaskStart
-	// with the tiles as the previous task left them.
-	if cap(sc.idealNeed) < n {
-		sc.idealNeed = make([]bool, n)
-	}
-	idealNeed := sc.idealNeed[:n]
-	for i := range idealNeed {
-		idealNeed[i] = false
-	}
-	ideal := in
-	ideal.NeedLoad = idealNeed
-	ideal.PortOrder = nil
-	ideal.ExecFloor = rb.TaskStart
-	ideal.TileFree = rb.TileFree
-	idealTL, err := sc.ideal.Compute(ideal)
-	if err != nil {
-		return nil, fmt.Errorf("core: ideal reference: %w", err)
-	}
-
 	r.Makespan = tl.End.Sub(rb.TaskStart)
-	r.Ideal = idealTL.End.Sub(rb.TaskStart)
 	r.Overhead = r.Makespan - r.Ideal
 	r.PortFreeAfter = model.MaxT(r.InitEnd, tl.LastLoadEnd)
 	return r, nil

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -201,15 +202,19 @@ type ScalingRow struct {
 // run-time heuristic's cost grows superlinearly with the graph size
 // (the paper saw a 192× time increase for a 32× size increase), while
 // the hybrid run-time phase only walks precomputed orders. Costs are
-// measured on this machine with a monotonic clock.
+// measured on this machine with a monotonic clock: every size is timed
+// in each of several interleaved rounds of 20 calls, and a size's cost
+// is its fastest round's per-call mean. Interleaving exposes all sizes
+// to the same machine drift, and the minimum drops rounds hit by
+// scheduler or GC interruptions, which would otherwise swamp the
+// microsecond costs of small graphs.
 func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, error) {
 	if len(sizes) == 0 {
 		sizes = []int{14, 28, 56, 112, 224, 448}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	p := platform.Default(8)
-	var rows []ScalingRow
-	tab := stats.NewTable("Subtasks", "run-time cost", "hybrid run-time cost", "run-time ×", "hybrid ×")
+	var runTime, hybrid []func() error
 	for _, n := range sizes {
 		g := graph.Generate(rng, graph.GenSpec{
 			Name: fmt.Sprintf("scale-%d", n), Subtasks: n, MaxWidth: 4,
@@ -220,31 +225,51 @@ func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, erro
 			return nil, nil, err
 		}
 		loads := s.AllLoads()
-
-		// MaxPasses: -1 measures the pure list schedule — the paper's
-		// N·log(N) heuristic without this implementation's optional
-		// improvement pass.
-		reps := 3
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := (prefetch.List{MaxPasses: -1}).Schedule(s, p, loads, prefetch.Bounds{}); err != nil {
-				return nil, nil, err
-			}
-		}
-		rtCost := time.Since(start) / time.Duration(reps)
-
 		a, err := core.Analyze(s, p, core.Options{Scheduler: prefetch.List{MaxPasses: 1}, AddAllDelayed: true})
 		if err != nil {
 			return nil, nil, err
 		}
-		start = time.Now()
-		for i := 0; i < reps; i++ {
+		// MaxPasses: -1 measures the pure list schedule — the paper's
+		// N·log(N) heuristic without this implementation's optional
+		// improvement pass.
+		runTime = append(runTime, func() error {
+			_, err := (prefetch.List{MaxPasses: -1}).Schedule(s, p, loads, prefetch.Bounds{})
+			return err
+		})
+		hybrid = append(hybrid, func() error {
 			a.Plan(nil) // the run-time phase's decision work is O(N)
-		}
-		hyCost := time.Since(start) / time.Duration(reps)
-
-		rows = append(rows, ScalingRow{Subtasks: n, RunTimeCost: rtCost, HybridCost: hyCost})
+			return nil
+		})
 	}
+
+	const rounds, reps = 15, 20
+	rows := make([]ScalingRow, len(sizes))
+	for i, n := range sizes {
+		rows[i] = ScalingRow{Subtasks: n, RunTimeCost: math.MaxInt64, HybridCost: math.MaxInt64}
+	}
+	// fastest lowers *cost to the per-call mean of one round of f.
+	fastest := func(f func() error, cost *time.Duration) error {
+		start := time.Now()
+		for k := 0; k < reps; k++ {
+			if err := f(); err != nil {
+				return err
+			}
+		}
+		*cost = min(*cost, time.Since(start)/reps)
+		return nil
+	}
+	for round := 0; round < rounds; round++ {
+		for i := range sizes {
+			if err := fastest(runTime[i], &rows[i].RunTimeCost); err != nil {
+				return nil, nil, err
+			}
+			if err := fastest(hybrid[i], &rows[i].HybridCost); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+
+	tab := stats.NewTable("Subtasks", "run-time cost", "hybrid run-time cost", "run-time ×", "hybrid ×")
 	base := rows[0]
 	for i := range rows {
 		rows[i].RunTimeFactor = float64(rows[i].RunTimeCost) / float64(base.RunTimeCost)

@@ -22,6 +22,7 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"drhwsched/internal/assign"
@@ -62,66 +63,11 @@ type Scheduler interface {
 	Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error)
 }
 
-// engineInput assembles the schedule.Input shared by all policies.
-func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) schedule.Input {
-	in := s.EngineInput(p, order)
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	if onDemand && in.LoadFloor < b.ExecFloor {
-		// An on-demand load request only exists once the task runs.
-		in.LoadFloor = b.ExecFloor
-	}
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
-	in.OnDemand = onDemand
-	return in
-}
-
 // Evaluate computes the timeline and overhead for a given load order
 // under the boundary conditions. It is exported so higher layers (the
 // hybrid heuristic, the simulator) can re-evaluate stored orders.
 func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) (*Result, error) {
-	ideal, err := idealMakespan(s, p, b)
-	if err != nil {
-		return nil, err
-	}
-	return evaluateWithIdeal(s, p, order, b, onDemand, ideal)
-}
-
-// idealMakespan computes the zero-overhead reference once; it does not
-// depend on the load order, so search loops reuse it across candidates.
-func idealMakespan(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
-	in := engineInput(s, p, nil, b, false)
-	tl, err := schedule.Compute(schedule.Ideal(in))
-	if err != nil {
-		return 0, err
-	}
-	return tl.Makespan(), nil
-}
-
-// evaluateWithIdeal is Evaluate with the ideal reference precomputed.
-func evaluateWithIdeal(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) (*Result, error) {
-	in := engineInput(s, p, order, b, onDemand)
-	tl, err := schedule.Compute(in)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		PortOrder: order,
-		OnDemand:  onDemand,
-		Timeline:  tl,
-		Makespan:  tl.Makespan(),
-		Ideal:     ideal,
-		Overhead:  tl.Makespan() - ideal,
-	}, nil
-}
-
-// sortLoads returns loads ordered by ideal start (criticality-weighted
-// tie-break) — the canonical feasible issue order.
-func sortLoads(s *assign.Schedule, loads []graph.SubtaskID) []graph.SubtaskID {
-	order := append([]graph.SubtaskID(nil), loads...)
-	s.SortByIdealStart(order)
-	return order
+	return EvaluateScratch(s, p, order, b, onDemand, new(Scratch))
 }
 
 // OnDemand issues every load when its subtask becomes ready: the
@@ -136,152 +82,8 @@ func (OnDemand) Name() string { return "on-demand" }
 // timeline itself, so the order is resolved by fixpoint iteration: start
 // from the ideal-start order and re-sort by observed readiness until the
 // order stabilizes.
-func (OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	order := sortLoads(s, loads)
-	var res *Result
-	maxIter := 2*len(order) + 2
-	for iter := 0; iter < maxIter; iter++ {
-		r, err := Evaluate(s, p, order, b, true)
-		if err != nil {
-			return nil, err
-		}
-		res = r
-		ready := make(map[graph.SubtaskID]model.Time, len(order))
-		for _, id := range order {
-			t := b.ExecFloor
-			for _, pr := range s.G.Preds(id) {
-				t = model.MaxT(t, r.Timeline.ExecEnd[pr])
-			}
-			ready[id] = t
-		}
-		next := append([]graph.SubtaskID(nil), order...)
-		sort.SliceStable(next, func(a, c int) bool { return ready[next[a]] < ready[next[c]] })
-		repairOrder(s, next, true)
-		if equalOrder(next, order) {
-			break
-		}
-		order = next
-	}
-	return res, nil
-}
-
-// repairOrder permutes a load order, as little as possible, so that it
-// is feasible:
-//
-//   - loads of subtasks sharing a tile appear in the tile's execution
-//     order (a tile cannot be reconfigured for a later subtask before
-//     an earlier one has run), and
-//   - under on-demand semantics, a load never precedes the load of a
-//     loaded graph ancestor (the ancestor must execute before this
-//     load's request even exists, and its own load must come first).
-//
-// It models the controller letting an unblocked request overtake a
-// blocked one: a stable topological sort that keeps the desired order
-// wherever the constraints allow.
-func repairOrder(s *assign.Schedule, order []graph.SubtaskID, onDemand bool) {
-	m := len(order)
-	if m < 2 {
-		return
-	}
-	inSet := make(map[graph.SubtaskID]bool, m)
-	for _, id := range order {
-		inSet[id] = true
-	}
-	// deps[i] lists loads that must be issued before order-member i.
-	deps := make(map[graph.SubtaskID][]graph.SubtaskID, m)
-	for _, tileOrder := range s.TileOrder {
-		var prev graph.SubtaskID = -1
-		for _, id := range tileOrder {
-			if !inSet[id] {
-				continue
-			}
-			if prev >= 0 {
-				deps[id] = append(deps[id], prev)
-			}
-			prev = id
-		}
-	}
-	if onDemand {
-		// An on-demand load waits for its predecessors' executions,
-		// and executions are ordered by the *combined* precedence:
-		// graph edges plus per-tile execution chains (through resident
-		// subtasks too). Any loaded subtask that executes strictly
-		// before subtask i must therefore have its load issued before
-		// i's. Walk each load's combined-predecessor closure and
-		// record the loaded members.
-		prevExec := make(map[graph.SubtaskID]graph.SubtaskID)
-		for _, tileOrder := range s.TileOrder {
-			for k := 1; k < len(tileOrder); k++ {
-				prevExec[tileOrder[k]] = tileOrder[k-1]
-			}
-		}
-		combinedPreds := func(id graph.SubtaskID) []graph.SubtaskID {
-			ps := append([]graph.SubtaskID(nil), s.G.Preds(id)...)
-			if p, ok := prevExec[id]; ok {
-				ps = append(ps, p)
-			}
-			return ps
-		}
-		for _, id := range order {
-			seen := map[graph.SubtaskID]bool{}
-			stack := combinedPreds(id)
-			for len(stack) > 0 {
-				p := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				if inSet[p] && p != id {
-					deps[id] = append(deps[id], p)
-				}
-				stack = append(stack, combinedPreds(p)...)
-			}
-		}
-	}
-	emitted := make(map[graph.SubtaskID]bool, m)
-	out := make([]graph.SubtaskID, 0, m)
-	for len(out) < m {
-		progress := false
-		for _, id := range order {
-			if emitted[id] {
-				continue
-			}
-			ok := true
-			for _, d := range deps[id] {
-				if !emitted[d] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, id)
-				emitted[id] = true
-				progress = true
-			}
-		}
-		if !progress {
-			// The constraints are cyclic only if the tile orders
-			// contradict the graph, which Compute reports later;
-			// emit the remainder unchanged.
-			for _, id := range order {
-				if !emitted[id] {
-					out = append(out, id)
-				}
-			}
-			break
-		}
-	}
-	copy(order, out)
-}
-
-func equalOrder(a, b []graph.SubtaskID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
+	return o.ScheduleScratch(s, p, loads, b, new(Scratch))
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in
@@ -301,40 +103,7 @@ func (l List) Name() string { return "list" }
 
 // Schedule implements Scheduler.
 func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	ideal, err := idealMakespan(s, p, b)
-	if err != nil {
-		return nil, err
-	}
-	order := sortLoads(s, loads)
-	best, err := evaluateWithIdeal(s, p, order, b, false, ideal)
-	if err != nil {
-		return nil, err
-	}
-	passes := l.MaxPasses
-	if passes == 0 {
-		passes = 2
-	}
-	for pass := 0; pass < passes && best.Overhead > 0; pass++ {
-		improved := false
-		for i := 0; i+1 < len(order); i++ {
-			order[i], order[i+1] = order[i+1], order[i]
-			cand, err := evaluateWithIdeal(s, p, order, b, false, ideal)
-			if err != nil || cand.Makespan >= best.Makespan {
-				// Swap infeasible (tile-order cycle) or not better.
-				order[i], order[i+1] = order[i+1], order[i]
-				continue
-			}
-			best = cand
-			improved = true
-		}
-		if !improved {
-			break
-		}
-	}
-	// best.PortOrder aliases the mutated slice only when the last swap
-	// was kept; re-evaluate defensively on a copy for a stable result.
-	final := append([]graph.SubtaskID(nil), best.PortOrder...)
-	return evaluateWithIdeal(s, p, final, b, false, ideal)
+	return l.ScheduleScratch(s, p, loads, b, new(Scratch))
 }
 
 // BranchBound finds the load order with the minimum makespan. The search
@@ -355,7 +124,9 @@ type BranchBound struct {
 // Name implements Scheduler.
 func (BranchBound) Name() string { return "branch&bound" }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. The whole search — the list-heuristic
+// incumbent, every lower bound and every leaf — runs on one bound
+// evaluator.
 func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
 	maxLoads := bb.MaxLoads
 	if maxLoads == 0 {
@@ -364,39 +135,40 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	if len(loads) > maxLoads {
 		return List{}.Schedule(s, p, loads, b)
 	}
+	sc := new(Scratch)
+	if err := sc.bind(s, p, b); err != nil {
+		return nil, err
+	}
 
 	// Feasibility partial order: on one tile, loads must be issued in
 	// execution order (the engine rejects anything else).
-	sorted := sortLoads(s, loads)
-	prevOnTile := make(map[graph.SubtaskID]graph.SubtaskID)
-	inSet := make(map[graph.SubtaskID]bool, len(sorted))
+	sorted := append([]graph.SubtaskID(nil), loads...)
+	s.SortByIdealStart(sorted)
+	n := s.G.Len()
+	prevOnTile := make([]graph.SubtaskID, n) // previous load on the tile, -1 if none
+	used := make([]bool, n)                  // marks the load set until the search starts
 	for _, id := range sorted {
-		inSet[id] = true
+		used[id] = true
 	}
 	for _, tileOrder := range s.TileOrder {
 		var prev graph.SubtaskID = -1
 		for _, id := range tileOrder {
-			if !inSet[id] {
-				continue
+			prevOnTile[id] = prev
+			if used[id] {
+				prev = id
 			}
-			if prev >= 0 {
-				prevOnTile[id] = prev
-			}
-			prev = id
 		}
 	}
+	clear(used)
 
 	// The relaxation with every load free is a global lower bound; when
 	// the incumbent reaches it, the search is over before it starts —
 	// the common case inside the CS-selection loop, where the stored
 	// schedule hides everything.
-	ideal, err := idealMakespan(s, p, b)
-	if err != nil {
-		return nil, err
-	}
+	ideal := sc.ideal
 
 	// Seed the incumbent with the list heuristic.
-	incumbent, err := List{}.Schedule(s, p, loads, b)
+	incumbent, err := List{}.schedule(s, loads, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +182,6 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	nodes := 0
 
 	placed := make([]graph.SubtaskID, 0, len(sorted))
-	used := make(map[graph.SubtaskID]bool, len(sorted))
 
 	// Port-pairing bound: loads serialize on the controller, so the
 	// j-th load still to issue cannot end before portFloor plus j
@@ -429,6 +200,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	sort.SliceStable(weightOrder, func(a, c int) bool {
 		return s.Weights[weightOrder[a]] > s.Weights[weightOrder[c]]
 	})
+	lats := make([]model.Dur, 0, len(sorted))
 	pairingBound := func() model.Dur {
 		portFloor := portFloor0
 		for _, id := range placed {
@@ -437,13 +209,13 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 		// Slot ends: prefix sums of the unplaced latencies in
 		// ascending order (the earliest the j-th remaining load can
 		// possibly finish).
-		var lats []model.Dur
+		lats = lats[:0]
 		for _, id := range sorted {
 			if !used[id] {
 				lats = append(lats, p.LoadLatency(s.G.Subtask(id).Load))
 			}
 		}
-		sort.Slice(lats, func(a, c int) bool { return lats[a] < lats[c] })
+		slices.Sort(lats)
 		var best model.Dur
 		slot := 0
 		end := portFloor
@@ -460,13 +232,15 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 		return best
 	}
 
-	// lowerBound relaxes the problem: loads not yet placed are free.
-	lowerBound := func() (model.Dur, bool) {
-		r, err := evaluateWithIdeal(s, p, placed, b, false, ideal)
-		if err != nil {
+	// evalPlaced evaluates the placed prefix with every unplaced load
+	// treated as resident: the relaxation at inner nodes, the exact
+	// makespan at leaves.
+	var cand Result
+	evalPlaced := func() (model.Dur, bool) {
+		if err := sc.evaluateInto(&cand, placed, false); err != nil {
 			return 0, false
 		}
-		return r.Makespan, true
+		return cand.Makespan, true
 	}
 
 	var dfs func()
@@ -479,9 +253,8 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 			return
 		}
 		if len(placed) == len(sorted) {
-			r, err := evaluateWithIdeal(s, p, placed, b, false, ideal)
-			if err == nil && r.Makespan < bestMakespan {
-				bestMakespan = r.Makespan
+			if mk, ok := evalPlaced(); ok && mk < bestMakespan {
+				bestMakespan = mk
 				bestOrder = append(bestOrder[:0], placed...)
 			}
 			return
@@ -489,7 +262,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 		if pairingBound() >= bestMakespan {
 			return
 		}
-		if lb, ok := lowerBound(); !ok || lb >= bestMakespan {
+		if lb, ok := evalPlaced(); !ok || lb >= bestMakespan {
 			return
 		}
 		// Candidates: unplaced loads whose same-tile predecessor load
@@ -499,7 +272,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 			if used[id] {
 				continue
 			}
-			if prev, ok := prevOnTile[id]; ok && !used[prev] {
+			if prev := prevOnTile[id]; prev >= 0 && !used[prev] {
 				continue
 			}
 			used[id] = true
@@ -511,9 +284,8 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	}
 	dfs()
 
-	res, err := evaluateWithIdeal(s, p, bestOrder, b, false, ideal)
-	if err != nil {
+	if err := sc.evaluateInto(&sc.res, bestOrder, false); err != nil {
 		return nil, fmt.Errorf("prefetch: re-evaluating best order: %w", err)
 	}
-	return res, nil
+	return &sc.res, nil
 }

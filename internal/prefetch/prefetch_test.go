@@ -31,6 +31,21 @@ func fig3Sched(t *testing.T) (*assign.Schedule, platform.Platform) {
 
 func allLoads(s *assign.Schedule) []graph.SubtaskID { return s.AllLoads() }
 
+// engineInput assembles the schedule.Input a scheduler evaluated for a
+// load order, for checking results with schedule.Verify.
+func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) schedule.Input {
+	in := s.EngineInput(p, order)
+	in.ExecFloor = b.ExecFloor
+	in.LoadFloor = b.LoadFloor
+	if onDemand && in.LoadFloor < b.ExecFloor {
+		in.LoadFloor = b.ExecFloor
+	}
+	in.TileFree = b.TileFree
+	in.PortFree = b.PortFree
+	in.OnDemand = onDemand
+	return in
+}
+
 func TestFig3OnDemandOverhead(t *testing.T) {
 	s, p := fig3Sched(t)
 	r, err := OnDemand{}.Schedule(s, p, allLoads(s), Bounds{})

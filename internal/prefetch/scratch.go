@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"slices"
+
 	"drhwsched/internal/assign"
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
@@ -10,70 +12,63 @@ import (
 
 // Scratch carries every reusable buffer the prefetch schedulers need,
 // so the simulator's per-instance loop runs them without allocating.
-// The Result returned by the *Scratch entry points — including its
-// Timeline — is owned by the scratch and valid until the next call on
-// the same scratch. The zero value is ready to use; a Scratch must not
-// be shared between goroutines.
+// Each entry point binds the schedule into the evaluator once and then
+// evaluates every candidate load order on it. The Result returned by
+// the *Scratch entry points — including its Timeline — is owned by the
+// scratch and valid until the next call on the same scratch. The zero
+// value is ready to use; a Scratch must not be shared between
+// goroutines.
 type Scratch struct {
-	eval  schedule.Scratch // candidate/body timelines
-	ideal schedule.Scratch // zero-overhead references
+	eval  schedule.Scratch
+	in    schedule.Input // the bound schedule and bounds; NeedLoad is need
+	need  []bool
+	ideal model.Dur // zero-overhead makespan of the bound schedule
 
-	need      []bool // NeedLoad buffer for candidate inputs
-	idealNeed []bool // all-false NeedLoad for ideal inputs
-	order     []graph.SubtaskID
-	next      []graph.SubtaskID
-	ready     []model.Time // per subtask, on-demand readiness
-	res       Result
+	order []graph.SubtaskID
+	next  []graph.SubtaskID
+	ready []model.Time // per subtask, on-demand readiness
+	res   Result
 
 	repair repairScratch
 }
 
-func (sc *Scratch) needBuf(n int) []bool {
+// bind compiles s on p under bounds b into the evaluator and evaluates
+// the ideal reference (no loads at all) that every candidate's overhead
+// is measured against.
+func (sc *Scratch) bind(s *assign.Schedule, p platform.Platform, b Bounds) error {
+	n := s.G.Len()
 	if cap(sc.need) < n {
 		sc.need = make([]bool, n)
 	}
-	return sc.need[:n]
-}
-
-func (sc *Scratch) idealNeedBuf(n int) []bool {
-	if cap(sc.idealNeed) < n {
-		sc.idealNeed = make([]bool, n)
+	sc.in = s.EngineInputNeed(p, nil, sc.need[:n])
+	sc.in.ExecFloor, sc.in.LoadFloor = b.ExecFloor, b.LoadFloor
+	sc.in.TileFree, sc.in.PortFree = b.TileFree, b.PortFree
+	if err := sc.eval.Bind(sc.in); err != nil {
+		return err
 	}
-	buf := sc.idealNeed[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
-}
-
-// idealMakespan is idealMakespan on the scratch's buffers.
-func (sc *Scratch) idealMakespan(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
-	in := s.EngineInputNeed(p, nil, sc.idealNeedBuf(s.G.Len()))
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
-	tl, err := sc.ideal.Compute(in)
+	tl, err := sc.eval.Eval(sc.in)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return tl.Makespan(), nil
+	sc.ideal = tl.Makespan()
+	return nil
 }
 
-// evaluateInto evaluates one load order into out; out.Timeline is the
-// scratch's reusable timeline.
-func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
-	in := s.EngineInputNeed(p, order, sc.needBuf(s.G.Len()))
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	if onDemand && in.LoadFloor < b.ExecFloor {
-		// An on-demand load request only exists once the task runs.
-		in.LoadFloor = b.ExecFloor
+// evaluateInto evaluates one load order on the bound schedule into out;
+// out.Timeline is the scratch's reusable timeline.
+func (sc *Scratch) evaluateInto(out *Result, order []graph.SubtaskID, onDemand bool) error {
+	in := sc.in
+	clear(in.NeedLoad)
+	for _, id := range order {
+		in.NeedLoad[id] = true
 	}
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
+	in.PortOrder = order
 	in.OnDemand = onDemand
-	tl, err := sc.eval.Compute(in)
+	if onDemand && in.LoadFloor < in.ExecFloor {
+		// An on-demand load request only exists once the task runs.
+		in.LoadFloor = in.ExecFloor
+	}
+	tl, err := sc.eval.Eval(in)
 	if err != nil {
 		return err
 	}
@@ -82,8 +77,8 @@ func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Plat
 		OnDemand:  onDemand,
 		Timeline:  tl,
 		Makespan:  tl.Makespan(),
-		Ideal:     ideal,
-		Overhead:  tl.Makespan() - ideal,
+		Ideal:     sc.ideal,
+		Overhead:  tl.Makespan() - sc.ideal,
 	}
 	return nil
 }
@@ -91,11 +86,10 @@ func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Plat
 // EvaluateScratch is Evaluate on reusable buffers; the returned Result
 // and its Timeline are owned by sc.
 func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, sc *Scratch) (*Result, error) {
-	ideal, err := sc.idealMakespan(s, p, b)
-	if err != nil {
+	if err := sc.bind(s, p, b); err != nil {
 		return nil, err
 	}
-	if err := sc.evaluateInto(&sc.res, s, p, order, b, onDemand, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, order, onDemand); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
@@ -104,6 +98,9 @@ func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.Subt
 // ScheduleScratch is OnDemand.Schedule on reusable buffers; the
 // returned Result and its Timeline are owned by sc.
 func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+	if err := sc.bind(s, p, b); err != nil {
+		return nil, err
+	}
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
 	s.SortByIdealStart(order)
@@ -113,16 +110,9 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 	}
 	ready := sc.ready[:n]
 
-	// The ideal reference does not depend on the order; the fixpoint
-	// iterations of the original Schedule recompute it to the same
-	// value, so hoisting it preserves results.
-	ideal, err := sc.idealMakespan(s, p, b)
-	if err != nil {
-		return nil, err
-	}
 	maxIter := 2*len(order) + 2
 	for iter := 0; iter < maxIter; iter++ {
-		if err := sc.evaluateInto(&sc.res, s, p, order, b, true, ideal); err != nil {
+		if err := sc.evaluateInto(&sc.res, order, true); err != nil {
 			return nil, err
 		}
 		for _, id := range order {
@@ -133,15 +123,14 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 			ready[id] = t
 		}
 		next = append(next[:0], order...)
-		// Stable insertion sort by readiness: the same stable order
-		// sort.SliceStable produced, without its allocations.
+		// Stable insertion sort by readiness.
 		for i := 1; i < len(next); i++ {
 			for j := i; j > 0 && ready[next[j]] < ready[next[j-1]]; j-- {
 				next[j-1], next[j] = next[j], next[j-1]
 			}
 		}
-		sc.repair.repair(s, next, true)
-		if equalOrder(next, order) {
+		sc.repair.repair(s, next)
+		if slices.Equal(next, order) {
 			break
 		}
 		order, next = next, order
@@ -154,14 +143,18 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 // ScheduleScratch is List.Schedule on reusable buffers; the returned
 // Result and its Timeline are owned by sc.
 func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
-	ideal, err := sc.idealMakespan(s, p, b)
-	if err != nil {
+	if err := sc.bind(s, p, b); err != nil {
 		return nil, err
 	}
+	return l.schedule(s, loads, sc)
+}
+
+// schedule runs the list heuristic on sc's bound schedule.
+func (l List) schedule(s *assign.Schedule, loads []graph.SubtaskID, sc *Scratch) (*Result, error) {
 	order := append(sc.order[:0], loads...)
 	s.SortByIdealStart(order)
 	var best, cand Result
-	if err := sc.evaluateInto(&best, s, p, order, b, false, ideal); err != nil {
+	if err := sc.evaluateInto(&best, order, false); err != nil {
 		return nil, err
 	}
 	passes := l.MaxPasses
@@ -172,7 +165,7 @@ func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []g
 		improved := false
 		for i := 0; i+1 < len(order); i++ {
 			order[i], order[i+1] = order[i+1], order[i]
-			err := sc.evaluateInto(&cand, s, p, order, b, false, ideal)
+			err := sc.evaluateInto(&cand, order, false)
 			if err != nil || cand.Makespan >= best.Makespan {
 				// Swap infeasible (tile-order cycle) or not better.
 				order[i], order[i+1] = order[i+1], order[i]
@@ -190,14 +183,13 @@ func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []g
 	final := append(sc.next[:0], best.PortOrder...)
 	sc.next = final[:0]
 	sc.order = order[:0]
-	if err := sc.evaluateInto(&sc.res, s, p, final, b, false, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, final, false); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
 }
 
-// repairScratch holds id-indexed buffers for the feasibility repair of
-// a load order (the allocation-free counterpart of repairOrder's maps).
+// repairScratch holds the id-indexed buffers of repair.
 type repairScratch struct {
 	inSet    []bool
 	prevExec []graph.SubtaskID // -1 when first on its tile
@@ -231,10 +223,20 @@ func (rs *repairScratch) grow(n int) {
 	rs.stack = rs.stack[:0]
 }
 
-// repair permutes order in place exactly as repairOrder does: same
-// dependency collection order, same stable emission loop — only the
-// map-backed bookkeeping is replaced by id-indexed slices.
-func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID, onDemand bool) {
+// repair permutes an on-demand load order, as little as possible, so
+// that it is feasible:
+//
+//   - loads of subtasks sharing a tile appear in the tile's execution
+//     order (a tile cannot be reconfigured for a later subtask before
+//     an earlier one has run), and
+//   - a load never precedes the load of a loaded ancestor under the
+//     combined precedence (the ancestor must execute before this
+//     load's request even exists, and its own load must come first).
+//
+// It models the controller letting an unblocked request overtake a
+// blocked one: a stable topological sort that keeps the desired order
+// wherever the constraints allow.
+func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID) {
 	m := len(order)
 	if m < 2 {
 		return
@@ -257,43 +259,40 @@ func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID, onD
 			prev = id
 		}
 	}
-	if onDemand {
-		// An on-demand load waits for its predecessors' executions, so
-		// any loaded subtask executing strictly before subtask i must
-		// have its load issued before i's (see repairOrder): walk each
-		// load's combined-predecessor closure (graph edges plus per-tile
-		// execution chains) and record the loaded members.
-		for _, tileOrder := range s.TileOrder {
-			for k := 1; k < len(tileOrder); k++ {
-				rs.prevExec[tileOrder[k]] = tileOrder[k-1]
-			}
+	// An on-demand load waits for its predecessors' executions, and
+	// executions are ordered by the combined precedence: graph edges
+	// plus per-tile execution chains (through resident subtasks too).
+	// Any loaded subtask executing strictly before subtask i must
+	// therefore have its load issued before i's: walk each load's
+	// combined-predecessor closure and record the loaded members.
+	for _, tileOrder := range s.TileOrder {
+		for k := 1; k < len(tileOrder); k++ {
+			rs.prevExec[tileOrder[k]] = tileOrder[k-1]
 		}
-		push := func(stack []graph.SubtaskID, id graph.SubtaskID) []graph.SubtaskID {
-			stack = append(stack, s.G.Preds(id)...)
-			if pe := rs.prevExec[id]; pe >= 0 {
-				stack = append(stack, pe)
-			}
-			return stack
+	}
+	push := func(stack []graph.SubtaskID, id graph.SubtaskID) []graph.SubtaskID {
+		stack = append(stack, s.G.Preds(id)...)
+		if pe := rs.prevExec[id]; pe >= 0 {
+			stack = append(stack, pe)
 		}
-		for _, id := range order {
-			for i := 0; i < n; i++ {
-				rs.seen[i] = false
+		return stack
+	}
+	for _, id := range order {
+		clear(rs.seen)
+		stack := push(rs.stack[:0], id)
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if rs.seen[p] {
+				continue
 			}
-			stack := push(rs.stack[:0], id)
-			for len(stack) > 0 {
-				p := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if rs.seen[p] {
-					continue
-				}
-				rs.seen[p] = true
-				if rs.inSet[p] && p != id {
-					rs.deps[id] = append(rs.deps[id], p)
-				}
-				stack = push(stack, p)
+			rs.seen[p] = true
+			if rs.inSet[p] && p != id {
+				rs.deps[id] = append(rs.deps[id], p)
 			}
-			rs.stack = stack[:0]
+			stack = push(stack, p)
 		}
+		rs.stack = stack[:0]
 	}
 	out := rs.out[:0]
 	for len(out) < m {

@@ -17,15 +17,19 @@
 //   - loads start in port order (no overtaking) and each occupies one
 //     reconfiguration controller for its whole latency.
 //
-// The combined constraint system is a DAG when the decisions are
-// consistent; Compute evaluates it in topological order and rejects
-// cyclic inputs. Verify re-checks a computed timeline against the raw
+// The decisions are consistent when these constraints admit no cycle.
+// Scratch.Bind compiles the part of an Input a scheduler never varies
+// (graph, platform, assignment, tile orders, communication delays);
+// Scratch.Eval then resolves one candidate load set and port order
+// directly: loads in port order, each execution by a memoized walk over
+// its graph predecessors, its tile predecessor and its own load. A
+// constraint cycle shows up as a revisit during that walk or as an
+// execution needing a load not yet issued, and is rejected. Compute is
+// Bind plus Eval. Verify re-checks a computed timeline against the raw
 // constraints independently, which the test suite uses as an oracle.
 package schedule
 
 import (
-	"fmt"
-
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
@@ -109,39 +113,14 @@ const NoEvent model.Time = -1
 // minus the task start.
 func (tl *Timeline) Makespan() model.Dur { return tl.End.Sub(tl.Start) }
 
-// node kinds in the constraint DAG.
-const (
-	kindExec = 0
-	kindLoad = 1
-)
-
-type nodeRef struct {
-	kind int
-	id   graph.SubtaskID
-}
-
-// constraint: start(to) ≥ (fromEnd ? end(from) : start(from)) + delay.
-type constraint struct {
-	from    nodeRef
-	fromEnd bool
-	delay   model.Dur
-}
-
-// Compute evaluates the constraint system and returns the timeline.
-// It fails if the input is malformed or if the decision orders are
-// mutually inconsistent (cyclic).
+// Compute evaluates the constraints and returns the timeline. It fails
+// if the input is malformed or if the decision orders are mutually
+// inconsistent (cyclic).
 //
-// Every call allocates a fresh Timeline; callers evaluating many inputs
-// back to back reuse the buffers via Scratch.Compute instead.
-func Compute(in Input) (*Timeline, error) {
-	tl, err := new(Scratch).Compute(in)
-	if err != nil {
-		return nil, err
-	}
-	// The scratch is about to go out of scope; its timeline is as fresh
-	// as a direct allocation would have been.
-	return tl, nil
-}
+// Every call allocates a fresh Timeline (the scratch goes out of scope
+// with the call); callers evaluating many candidates of one schedule
+// bind a Scratch once and call Eval per candidate instead.
+func Compute(in Input) (*Timeline, error) { return new(Scratch).Compute(in) }
 
 // Ideal returns the same input with every load removed: the schedule's
 // execution under zero reconfiguration overhead. Its makespan is the
@@ -151,75 +130,4 @@ func Ideal(in Input) Input {
 	out.NeedLoad = make([]bool, in.G.Len())
 	out.PortOrder = nil
 	return out
-}
-
-// checkInput validates structural properties of the decision set. seen
-// and inPort are caller-owned all-false buffers of length G.Len().
-func checkInput(in Input, seen, inPort []bool) error {
-	n := in.G.Len()
-	if len(in.Assignment) != n {
-		return fmt.Errorf("schedule: assignment covers %d of %d subtasks", len(in.Assignment), n)
-	}
-	if len(in.NeedLoad) != n {
-		return fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
-	}
-	if len(in.TileOrder) > in.P.Processors() {
-		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), in.P.Processors())
-	}
-	if in.TileFree != nil && len(in.TileFree) != in.P.Processors() {
-		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(in.TileFree), in.P.Processors())
-	}
-	if in.PortFree != nil && len(in.PortFree) != in.P.Ports {
-		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), in.P.Ports)
-	}
-	for t, order := range in.TileOrder {
-		for _, id := range order {
-			if id < 0 || int(id) >= n {
-				return fmt.Errorf("schedule: tile %d lists unknown subtask %d", t, id)
-			}
-			if seen[id] {
-				return fmt.Errorf("schedule: subtask %d appears on two tiles", id)
-			}
-			seen[id] = true
-			if in.Assignment[id] != t {
-				return fmt.Errorf("schedule: subtask %d ordered on tile %d but assigned to %d", id, t, in.Assignment[id])
-			}
-		}
-	}
-	for i := range seen {
-		if !seen[i] {
-			return fmt.Errorf("schedule: subtask %d missing from tile orders", i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		a := in.Assignment[i]
-		if a < 0 || a >= in.P.Processors() {
-			return fmt.Errorf("schedule: subtask %d assigned to processor %d of %d", i, a, in.P.Processors())
-		}
-		onISP := in.G.Subtask(graph.SubtaskID(i)).OnISP
-		if onISP && !in.P.IsISP(a) {
-			return fmt.Errorf("schedule: ISP subtask %d assigned to tile %d", i, a)
-		}
-		if !onISP && in.P.IsISP(a) {
-			return fmt.Errorf("schedule: hardware subtask %d assigned to ISP %d", i, a)
-		}
-		if onISP && in.NeedLoad[i] {
-			return fmt.Errorf("schedule: ISP subtask %d cannot be loaded", i)
-		}
-	}
-	for _, id := range in.PortOrder {
-		if id < 0 || int(id) >= n {
-			return fmt.Errorf("schedule: port order lists unknown subtask %d", id)
-		}
-		if inPort[id] {
-			return fmt.Errorf("schedule: subtask %d loaded twice", id)
-		}
-		inPort[id] = true
-	}
-	for i := 0; i < n; i++ {
-		if in.NeedLoad[i] != inPort[i] {
-			return fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, in.NeedLoad[i], inPort[i])
-		}
-	}
-	return nil
 }

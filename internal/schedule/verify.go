@@ -9,9 +9,9 @@ import (
 )
 
 // Verify independently re-checks a timeline against the raw hardware
-// constraints of the input. It shares no code with Compute's topological
-// evaluation, so the test suite can use it as an oracle: any timeline
-// Compute returns must Verify.
+// constraints of the input. It shares no code with the evaluator
+// (Scratch.Bind and Eval), so the test suite can use it as an oracle:
+// any timeline Compute or Eval returns must Verify.
 func Verify(in Input, tl *Timeline) error {
 	n := in.G.Len()
 
