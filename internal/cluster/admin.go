@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"drhwsched/internal/httpx"
 )
 
 // ReplicasResponse is the GET /v1/replicas body and the echo after a
@@ -29,13 +32,17 @@ type ReplicasUpdateRequest struct {
 }
 
 func (c *Coordinator) handleReplicasGet(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, ReplicasResponse{Replicas: c.Replicas(), Drained: c.Drained()})
+	return httpx.WriteJSON(w, ReplicasResponse{Replicas: c.Replicas(), Drained: c.Drained()})
 }
 
 func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Request) error {
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		return err // MaxBytesError maps to 413 in the chassis
+	}
 	var req ReplicasUpdateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		return badRequest("parsing replicas body: %v", err)
+	if err := json.Unmarshal(data, &req); err != nil {
+		return httpx.BadRequest("parsing replicas body: %v", err)
 	}
 	adds, err := normalizeURLs(req.Add, "add")
 	if err != nil {
@@ -46,7 +53,7 @@ func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Reques
 		return err
 	}
 	if len(adds) == 0 && len(removes) == 0 {
-		return badRequest("replicas update needs add or remove entries")
+		return httpx.BadRequest("replicas update needs add or remove entries")
 	}
 
 	c.poolMu.Lock()
@@ -55,18 +62,18 @@ func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Reques
 	for _, u := range removes {
 		if _, ok := c.pool[u]; !ok {
 			c.poolMu.Unlock()
-			return badRequest("remove: %q is not an active replica", u)
+			return httpx.BadRequest("remove: %q is not an active replica", u)
 		}
 	}
 	for _, u := range adds {
 		if _, ok := c.pool[u]; ok {
 			c.poolMu.Unlock()
-			return badRequest("add: %q is already an active replica", u)
+			return httpx.BadRequest("add: %q is already an active replica", u)
 		}
 	}
 	if len(c.pool)-len(removes)+len(adds) == 0 {
 		c.poolMu.Unlock()
-		return badRequest("cannot remove the last active replica")
+		return httpx.BadRequest("cannot remove the last active replica")
 	}
 	for _, u := range removes {
 		c.drained[u] = c.pool[u]
@@ -88,14 +95,14 @@ func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Reques
 
 	for _, u := range adds {
 		c.metrics.replicaAdded()
-		c.logf("drhwcoord: replica %s added to pool", u)
+		c.chassis.Logf("drhwcoord: replica %s added to pool", u)
 	}
 	for _, u := range removes {
 		c.metrics.replicaRemoved()
-		c.logf("drhwcoord: replica %s drained (peer fills only)", u)
+		c.chassis.Logf("drhwcoord: replica %s drained (peer fills only)", u)
 	}
 	c.pushPeers()
-	return writeJSON(w, ReplicasResponse{Replicas: active, Drained: drained})
+	return httpx.WriteJSON(w, ReplicasResponse{Replicas: active, Drained: drained})
 }
 
 // normalizeURLs trims and slash-normalizes one admin list, rejecting
@@ -106,10 +113,10 @@ func normalizeURLs(in []string, verb string) ([]string, error) {
 	for _, u := range in {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
 		if u == "" {
-			return nil, badRequest("%s: empty replica URL", verb)
+			return nil, httpx.BadRequest("%s: empty replica URL", verb)
 		}
 		if seen[u] {
-			return nil, badRequest("%s: duplicate replica URL %q", verb, u)
+			return nil, httpx.BadRequest("%s: duplicate replica URL %q", verb, u)
 		}
 		seen[u] = true
 		out = append(out, u)
@@ -158,7 +165,7 @@ func (c *Coordinator) pushPeers() {
 		go func() {
 			defer wg.Done()
 			if err := rep.PushPeers(ctx, peers); err != nil {
-				c.logf("drhwcoord: pushing peer set to %s: %v", rep.URL, err)
+				c.chassis.Logf("drhwcoord: pushing peer set to %s: %v", rep.URL, err)
 				c.metrics.peerPush(false)
 				return
 			}
@@ -166,11 +173,4 @@ func (c *Coordinator) pushPeers() {
 		}()
 	}
 	wg.Wait()
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

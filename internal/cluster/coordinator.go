@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,9 +11,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"drhwsched/internal/httpx"
 	"drhwsched/internal/obs"
 	"drhwsched/internal/server"
 )
@@ -121,11 +120,10 @@ func (c *Config) fillDefaults() {
 // or stalls. It implements http.Handler; cmd/drhwcoord runs it via
 // ListenAndServe.
 type Coordinator struct {
-	cfg      Config
-	mux      *http.ServeMux
-	metrics  *metrics
-	inflight chan struct{}
-	reqSeq   atomic.Int64
+	cfg     Config
+	mux     *http.ServeMux
+	metrics *metrics
+	chassis *httpx.Chassis
 
 	// poolMu guards the dynamic membership below. pool holds the
 	// replicas sweeps shard across. drained holds admin-removed
@@ -151,11 +149,22 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
 		metrics:    newMetrics(),
-		inflight:   make(chan struct{}, cfg.MaxInFlight),
 		pool:       map[string]*Replica{},
 		drained:    map[string]*Replica{},
 		failStreak: map[string]int{},
 	}
+	c.chassis = httpx.New(httpx.Config{
+		Name:         "drhwcoord",
+		ID:           "drhwcoord",
+		Kind:         "coordinator",
+		MaxInFlight:  cfg.MaxInFlight,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		ReadTimeout:  bodyReadTimeout,
+		DrainTimeout: cfg.DrainTimeout,
+		Logf:         cfg.Logf,
+		Logger:       cfg.Logger,
+		Metrics:      c.metrics.requests,
+	})
 	for _, u := range cfg.Replicas {
 		r := newReplica(u, cfg.HTTPClient)
 		if r.URL == "" {
@@ -166,11 +175,11 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.pool[r.URL] = r
 	}
-	c.mux.Handle("/healthz", c.instrument("healthz", http.MethodGet, false, c.handleHealthz))
-	c.mux.Handle("/metrics", c.instrument("metrics", http.MethodGet, false, c.handleMetrics))
-	c.mux.Handle("/v1/sweep", c.instrument("sweep", http.MethodPost, true, c.handleSweep))
-	getReplicas := c.instrument("replicas", http.MethodGet, false, c.handleReplicasGet)
-	postReplicas := c.instrument("replicas", http.MethodPost, false, c.handleReplicasUpdate)
+	c.mux.Handle("/healthz", c.chassis.Handle("healthz", http.MethodGet, false, c.handleHealthz))
+	c.mux.Handle("/metrics", c.chassis.Handle("metrics", http.MethodGet, false, c.handleMetrics))
+	c.mux.Handle("/v1/sweep", c.chassis.Handle("sweep", http.MethodPost, true, c.handleSweep))
+	getReplicas := c.chassis.Handle("replicas", http.MethodGet, false, c.handleReplicasGet)
+	postReplicas := c.chassis.Handle("replicas", http.MethodPost, false, c.handleReplicasUpdate)
 	c.mux.Handle("/v1/replicas", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet {
 			getReplicas.ServeHTTP(w, r)
@@ -209,195 +218,22 @@ func sortedKeys(m map[string]*Replica) []string {
 // ServeHTTP dispatches to the coordinator's routes.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
-// bodyReadTimeout bounds the whole request read, body included.
-// Without it a client trickling a sweep body one byte at a time would
-// hold an admission slot indefinitely: handleSweep's io.ReadAll is not
-// context-aware. It is a variable only so tests can shorten it.
+// bodyReadTimeout bounds the whole request read, body included (the
+// coordinator has no per-request deadline of its own). It is a
+// variable only so tests can shorten it.
 var bodyReadTimeout = 30 * time.Second
 
 // Serve runs the coordinator on l until ctx is canceled, then drains
 // in-flight requests for up to DrainTimeout.
 func (c *Coordinator) Serve(ctx context.Context, l net.Listener) error {
-	base, cancelBase := context.WithCancel(context.Background())
-	defer cancelBase()
-	hs := &http.Server{
-		Handler:           c,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       bodyReadTimeout,
-		BaseContext:       func(net.Listener) context.Context { return base },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	c.logf("drhwcoord: shutdown requested, draining for up to %v", c.cfg.DrainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), c.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(dctx)
-	if err != nil {
-		cancelBase()
-		hs.Close()
-	}
-	<-errc
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	c.logf("drhwcoord: drained")
-	return nil
+	return c.chassis.Serve(ctx, l, c)
 }
 
 // ListenAndServe binds addr (host:0 picks an ephemeral port; the bound
 // address is logged via Config.Logf) and serves until ctx is canceled.
 func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	c.logf("drhwcoord: listening on %s (replicas=%d, vnodes=%d, idle=%v)",
-		l.Addr(), len(c.Replicas()), c.cfg.VNodes, c.cfg.StreamIdleTimeout)
-	return c.Serve(ctx, l)
-}
-
-// httpErr carries a status code out of a handler (the same convention
-// as internal/server, duplicated to keep the daemons independent).
-type httpErr struct {
-	code int
-	msg  string
-}
-
-func (e *httpErr) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func tooLarge(format string, args ...any) error {
-	return &httpErr{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf(format, args...)}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.code = code
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ctxKey scopes the request-trace context value to this package.
-type ctxKey int
-
-const traceCtxKey ctxKey = iota
-
-// traceFrom recovers the request's trace context inside a handler.
-func traceFrom(ctx context.Context) obs.TraceParent {
-	tp, _ := ctx.Value(traceCtxKey).(obs.TraceParent)
-	return tp
-}
-
-// instrument is the shared middleware: method check, W3C trace-context
-// extraction (accepted from the client or minted here, echoed back),
-// admission control, error mapping, structured request logging, and
-// metrics recording.
-func (c *Coordinator) instrument(endpoint, method string, admit bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tp, tpErr := obs.ParseTraceParent(r.Header.Get(obs.Header))
-		if tpErr != nil {
-			tp = obs.NewTrace()
-		}
-		reqID := fmt.Sprintf("drhwcoord-%d", c.reqSeq.Add(1))
-		w := &statusWriter{ResponseWriter: rw, code: http.StatusOK}
-		w.Header().Set(obs.Header, tp.String())
-		w.Header().Set("X-Request-Id", reqID)
-		r = r.WithContext(context.WithValue(r.Context(), traceCtxKey, tp))
-		defer func() {
-			c.metrics.observe(endpoint, w.code)
-			if c.cfg.Logger != nil {
-				c.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-					slog.String("endpoint", endpoint),
-					slog.Int("code", w.code),
-					slog.Duration("duration", time.Since(start)),
-					slog.String("request_id", reqID),
-					slog.String("trace_id", tp.TraceIDString()),
-					slog.String("span_id", tp.SpanIDString()),
-				)
-			}
-		}()
-
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
-			return
-		}
-		if admit {
-			select {
-			case c.inflight <- struct{}{}:
-				defer func() { <-c.inflight }()
-			default:
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Sprintf("coordinator at capacity (%d requests in flight)", c.cfg.MaxInFlight))
-				return
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-		}
-
-		err := h(w, r)
-		if err == nil {
-			return
-		}
-		if w.wrote {
-			// Mid-stream failure: the missing done=true summary line
-			// tells the client; just log.
-			c.logf("drhwcoord: %s: late error: %v", endpoint, err)
-			return
-		}
-		var he *httpErr
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &he):
-			writeError(w, he.code, he.msg)
-		case errors.As(err, &mbe):
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-		case errors.Is(err, context.Canceled):
-			c.logf("drhwcoord: %s: canceled: %v", endpoint, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-	})
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	return c.chassis.ListenAndServe(ctx, addr, c, fmt.Sprintf("replicas=%d, vnodes=%d, idle=%v",
+		len(c.Replicas()), c.cfg.VNodes, c.cfg.StreamIdleTimeout))
 }
 
 // HealthResponse is the coordinator's /healthz body: the pool's
@@ -411,7 +247,7 @@ type HealthResponse struct {
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	tp := traceFrom(r.Context())
+	tp := httpx.TraceFrom(r.Context())
 	type member struct {
 		rep     *Replica
 		drained bool
@@ -450,9 +286,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) erro
 	if resp.Status != "ok" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(resp)
+	return httpx.WriteJSON(w, resp)
 }
 
 // noteProbes feeds one /healthz round into the per-URL failure
@@ -490,7 +324,7 @@ func (c *Coordinator) noteProbes(probes []ReplicaHealth) {
 		return
 	}
 	for _, u := range evicted {
-		c.logf("drhwcoord: evicting replica %s after %d failed probes", u, c.cfg.EvictAfterProbes)
+		c.chassis.Logf("drhwcoord: evicting replica %s after %d failed probes", u, c.cfg.EvictAfterProbes)
 		c.metrics.replicaEvicted()
 	}
 	c.pushPeers()
@@ -501,7 +335,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) erro
 	c.poolMu.Lock()
 	active, drained := len(c.pool), len(c.drained)
 	c.poolMu.Unlock()
-	c.metrics.render(w, active, drained)
+	c.metrics.render(w, active, drained, c.chassis.InFlight())
 	return nil
 }
 
@@ -548,17 +382,17 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) error 
 	}
 	var req server.SweepRequest
 	if err := json.Unmarshal(data, &req); err != nil {
-		return badRequest("sweep: parsing request: %v", err)
+		return httpx.BadRequest("sweep: parsing request: %v", err)
 	}
 	grid, err := ParseGrid(&req)
 	if err != nil {
-		return badRequest("%v", err)
+		return httpx.BadRequest("%v", err)
 	}
 	if n := grid.Subtasks(); n > c.cfg.MaxSubtasks {
-		return tooLarge("document has %d subtasks, limit is %d", n, c.cfg.MaxSubtasks)
+		return httpx.TooLarge("document has %d subtasks, limit is %d", n, c.cfg.MaxSubtasks)
 	}
 	if cells := grid.Cells(); cells > c.cfg.MaxSweepCells {
-		return tooLarge("sweep grid has %d cells, limit is %d", cells, c.cfg.MaxSweepCells)
+		return httpx.TooLarge("sweep grid has %d cells, limit is %d", cells, c.cfg.MaxSweepCells)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -566,7 +400,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) error 
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush() // commit the headers before the first shard answers
 	}
-	sum, err := c.runSweep(r.Context(), traceFrom(r.Context()), grid, w)
+	sum, err := c.runSweep(r.Context(), httpx.TraceFrom(r.Context()), grid, w)
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
@@ -709,7 +543,7 @@ func (c *Coordinator) runSweep(parent context.Context, tp obs.TraceParent, grid 
 			}
 			if out.err != nil {
 				if ctx.Err() == nil {
-					c.logf("drhwcoord: replica %s failed mid-sweep: %v", out.url, out.err)
+					c.chassis.Logf("drhwcoord: replica %s failed mid-sweep: %v", out.url, out.err)
 					failures++
 					delete(live, out.url)
 				}
@@ -750,7 +584,7 @@ func (c *Coordinator) runSweep(parent context.Context, tp obs.TraceParent, grid 
 			return nil, fmt.Errorf("%d cells undelivered after %d retry waves", missing, c.cfg.MaxRetryWaves)
 		}
 		backoff := min(c.cfg.RetryBackoff<<(waves-1), c.cfg.MaxRetryBackoff)
-		c.logf("drhwcoord: retry wave %d: %d cells across %d values, backoff %v, %d replicas left",
+		c.chassis.Logf("drhwcoord: retry wave %d: %d cells across %d values, backoff %v, %d replicas left",
 			waves, missing, len(pending), backoff, len(live))
 		select {
 		case <-time.After(backoff):

@@ -3,11 +3,9 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -674,64 +672,5 @@ func TestCoordinatorRefusesBeforeKeying(t *testing.T) {
 	}
 	if n := derived.Load(); n != 2 {
 		t.Fatalf("admitted two-value sweep derived %d shard keys, want 2", n)
-	}
-}
-
-// TestCoordinatorSlowBodyReturnsSlot: a client trickling its sweep body
-// holds the only admission slot until the body read times out, and the
-// slot is returned after that.
-func TestCoordinatorSlowBodyReturnsSlot(t *testing.T) {
-	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
-	bodyReadTimeout = 2 * time.Second
-	r1 := newReplicaServer(t, "r1")
-	c, err := New(Config{Replicas: []string{r1.URL}, MaxInFlight: 1, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- c.Serve(ctx, l) }()
-	defer func() {
-		cancel()
-		if err := <-served; err != nil {
-			t.Error(err)
-		}
-	}()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Headers promise 1000 body bytes; only one ever arrives.
-	fmt.Fprint(conn, "POST /v1/sweep HTTP/1.1\r\nHost: coord\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n{")
-
-	// A malformed probe answers 400 when admitted and 429 while the
-	// trickler holds the slot.
-	probe := func() int {
-		resp, err := http.Post("http://"+l.Addr().String()+"/v1/sweep", "application/json", strings.NewReader("{"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	deadline := time.Now().Add(bodyReadTimeout)
-	for probe() != http.StatusTooManyRequests {
-		if time.Now().After(deadline) {
-			t.Fatal("the trickling request never held the admission slot")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	deadline = time.Now().Add(10 * bodyReadTimeout)
-	for probe() == http.StatusTooManyRequests {
-		if time.Now().After(deadline) {
-			t.Fatal("the trickling request kept its admission slot past the body read timeout")
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }

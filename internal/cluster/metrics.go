@@ -4,23 +4,25 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
+
+	"drhwsched/internal/httpx"
 )
 
 // metrics aggregates the coordinator's counters for /metrics. The
-// shapes mirror drhwd's metrics so one scrape config covers both tiers
-// of the fabric; names use the drhwcoord_ prefix.
+// request families come from the chassis drhwd shares, so one scrape
+// config covers both tiers of the fabric; names use the drhwcoord_
+// prefix.
 type metrics struct {
 	mu              sync.Mutex
 	started         time.Time
-	requests        map[string]map[int]int64 // endpoint → status code → count
-	sweeps          int64                    // completed coordinator sweeps
-	cells           int64                    // cells merged into client streams
-	cellRetries     int64                    // cells re-dispatched after a replica failure
-	replicaFailures int64                    // replica streams abandoned (error or idle timeout)
-	shards          int64                    // sub-sweeps issued (including retry waves)
+	requests        *httpx.Metrics
+	sweeps          int64 // completed coordinator sweeps
+	cells           int64 // cells merged into client streams
+	cellRetries     int64 // cells re-dispatched after a replica failure
+	replicaFailures int64 // replica streams abandoned (error or idle timeout)
+	shards          int64 // sub-sweeps issued (including retry waves)
 
 	replicasAdded    int64 // pool additions (hot-add and reactivation)
 	replicasRemoved  int64 // admin drains (pool → drained)
@@ -30,18 +32,7 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{started: time.Now(), requests: map[string]map[int]int64{}}
-}
-
-func (m *metrics) observe(endpoint string, code int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[endpoint]
-	if byCode == nil {
-		byCode = map[int]int64{}
-		m.requests[endpoint] = byCode
-	}
-	byCode[code]++
+	return &metrics{started: time.Now(), requests: httpx.NewMetrics()}
 }
 
 func (m *metrics) sweepDone(cells, retried, failures, shards int) {
@@ -84,34 +75,20 @@ func (m *metrics) peerPush(ok bool) {
 
 // render writes the Prometheus text format. replicas is the active
 // pool size; drained counts admin-removed members still serving peer
-// fills.
-func (m *metrics) render(w io.Writer, replicas, drained int) {
+// fills; inflight is the admitted requests now running.
+func (m *metrics) render(w io.Writer, replicas, drained, inflight int) {
 	var buf bytes.Buffer
 	m.mu.Lock()
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_uptime_seconds gauge\n")
 	fmt.Fprintf(&buf, "drhwcoord_uptime_seconds %g\n", time.Since(m.started).Seconds())
+	fmt.Fprintf(&buf, "# TYPE drhwcoord_inflight_requests gauge\n")
+	fmt.Fprintf(&buf, "drhwcoord_inflight_requests %d\n", inflight)
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas gauge\n")
 	fmt.Fprintf(&buf, "drhwcoord_replicas %d\n", replicas)
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas_drained gauge\n")
 	fmt.Fprintf(&buf, "drhwcoord_replicas_drained %d\n", drained)
 
-	endpoints := make([]string, 0, len(m.requests))
-	for ep := range m.requests {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_requests_total counter\n")
-	for _, ep := range endpoints {
-		byCode := m.requests[ep]
-		codes := make([]int, 0, len(byCode))
-		for c := range byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&buf, "drhwcoord_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, byCode[c])
-		}
-	}
+	m.requests.Render(&buf, "drhwcoord")
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_sweeps_total counter\n")
 	fmt.Fprintf(&buf, "drhwcoord_sweeps_total %d\n", m.sweeps)
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_cells_total counter\n")

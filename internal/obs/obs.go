@@ -1,8 +1,9 @@
 // Package obs is the run-time observability layer: a bounded event
 // recorder threaded through the simulation kernel, a Chrome
 // trace-event exporter for the recorded timelines, W3C traceparent
-// propagation for cross-service request correlation, and a strict
-// Prometheus text-exposition validator used by the metrics tests.
+// propagation for cross-service request correlation, the fixed-bucket
+// Histogram both daemons' /metrics render, and a strict Prometheus
+// text-exposition validator used by the metrics tests.
 //
 // The recorder is a seam, not a dependency: every producer guards its
 // emission with a nil check, so a disabled recorder costs one pointer

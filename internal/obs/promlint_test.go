@@ -54,3 +54,37 @@ func TestValidateExpositionRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramRender pins the bucket rule (a value on a bound lands in
+// that bound's bucket), the cumulative rendering with and without a
+// label list, and that the result passes the exposition validator.
+func TestHistogramRender(t *testing.T) {
+	h := NewHistogram([]float64{1, 2})
+	for _, v := range []float64{0.5, 1, 3} {
+		h.Observe(v)
+	}
+	var sb strings.Builder
+	sb.WriteString("# TYPE a histogram\n")
+	h.Render(&sb, "a", "")
+	sb.WriteString("# TYPE b histogram\n")
+	h.Render(&sb, "b", `endpoint="x"`)
+	want := `# TYPE a histogram
+a_bucket{le="1"} 2
+a_bucket{le="2"} 2
+a_bucket{le="+Inf"} 3
+a_sum 4.5
+a_count 3
+# TYPE b histogram
+b_bucket{endpoint="x",le="1"} 2
+b_bucket{endpoint="x",le="2"} 2
+b_bucket{endpoint="x",le="+Inf"} 3
+b_sum{endpoint="x"} 4.5
+b_count{endpoint="x"} 3
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+	if err := ValidateExposition(want); err != nil {
+		t.Fatal(err)
+	}
+}

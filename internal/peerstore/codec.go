@@ -1,7 +1,8 @@
 // Package peerstore implements the cross-replica analysis tier: a
-// tiered engine.Store (local LRU → peer fetch → compute fallback) plus
-// the stable wire codec and HTTP endpoint replicas use to serve each
-// other design-time artifacts. It exists so a re-sharded sweep value's
+// tiered engine.Store (local LRU → peer fetch → compute fallback), the
+// stable wire codec replicas use to serve each other design-time
+// artifacts, and the peer endpoint's path (PathPrefix, KeyFromPath);
+// drhwd's GET /v1/analysis/{fingerprint} route serves it. It exists so a re-sharded sweep value's
 // analysis fills over one HTTP hop from the replica that already paid
 // for it instead of recomputing cold — the paper's reuse-over-reload
 // principle applied one layer above the simulator.

@@ -15,6 +15,7 @@ import (
 
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
+	"drhwsched/internal/obs"
 )
 
 // PathPrefix is the peer-fill endpoint's route: GET PathPrefix +
@@ -77,9 +78,7 @@ type Store struct {
 	peerErrors  int64
 	rejected    int64
 
-	fetchCount   int64
-	fetchSum     float64 // seconds, successful fills only
-	fetchBuckets []int64 // len(FetchBucketBounds)+1, last is +Inf
+	fetch obs.Histogram // seconds, successful fills only
 }
 
 // TierStats is a snapshot of the tier counters and the peer-fill
@@ -133,7 +132,7 @@ func New(cfg Config) *Store {
 		fetchTimeout: timeout,
 		logf:         logf,
 		fetching:     map[string]int{},
-		fetchBuckets: make([]int64, len(FetchBucketBounds)+1),
+		fetch:        obs.NewHistogram(FetchBucketBounds),
 	}
 	s.SetPeers(cfg.Peers)
 	return s
@@ -265,24 +264,16 @@ func (s *Store) TierStats() TierStats {
 		Compute:         s.tierCompute,
 		PeerErrors:      s.peerErrors,
 		Rejected:        s.rejected,
-		FetchCount:      s.fetchCount,
-		FetchSumSeconds: s.fetchSum,
-		FetchBuckets:    append([]int64(nil), s.fetchBuckets...),
+		FetchCount:      s.fetch.Count,
+		FetchSumSeconds: s.fetch.Sum,
+		FetchBuckets:    append([]int64(nil), s.fetch.Counts...),
 	}
 }
 
 func (s *Store) observeFetch(seconds float64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fetchCount++
-	s.fetchSum += seconds
-	for i, bound := range FetchBucketBounds {
-		if seconds <= bound {
-			s.fetchBuckets[i]++
-			return
-		}
-	}
-	s.fetchBuckets[len(FetchBucketBounds)]++
+	s.fetch.Observe(seconds)
+	s.mu.Unlock()
 }
 
 // errPeerMiss is the (expected) "peer does not have it" outcome; it is

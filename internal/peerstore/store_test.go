@@ -38,12 +38,36 @@ func TestTierLocalAndCompute(t *testing.T) {
 	}
 }
 
+// peerHandler stands in for a sibling replica: it serves the peer
+// endpoint from eng the way drhwd's GET /v1/analysis route does.
+func peerHandler(eng *engine.Engine) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		key, err := KeyFromPath(r.URL.Path)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		a, ok := eng.Peek(r.Context(), key)
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		data, err := Encode(key, a)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	})
+}
+
 func TestPeerFill(t *testing.T) {
 	key, a := testAnalysis(t, 3)
 
 	owner := engine.New(engine.Config{Workers: 1, Store: New(Config{CacheSize: 8})})
 	owner.Store().Put(key, a)
-	srv := httptest.NewServer(Handler(owner))
+	srv := httptest.NewServer(peerHandler(owner))
 	defer srv.Close()
 
 	s := New(Config{CacheSize: 8, Peers: []string{srv.URL}})
@@ -181,9 +205,9 @@ func TestPoolWideSingleCompute(t *testing.T) {
 	storeB := New(Config{CacheSize: 8, FetchTimeout: 10 * time.Second})
 	engA := engine.New(engine.Config{Workers: 1, Store: storeA})
 	engB := engine.New(engine.Config{Workers: 1, Store: storeB})
-	srvA := httptest.NewServer(Handler(engA))
+	srvA := httptest.NewServer(peerHandler(engA))
 	defer srvA.Close()
-	srvB := httptest.NewServer(Handler(engB))
+	srvB := httptest.NewServer(peerHandler(engB))
 	defer srvB.Close()
 	storeA.SetPeers([]string{srvB.URL})
 	storeB.SetPeers([]string{srvA.URL})

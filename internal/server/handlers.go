@@ -10,6 +10,7 @@ import (
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
 	"drhwsched/internal/graph"
+	"drhwsched/internal/httpx"
 	"drhwsched/internal/obs"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/workload"
@@ -83,14 +84,14 @@ type AnalyzeScenario struct {
 func (s *Server) readRun(r *http.Request) (*workload.RunSpec, error) {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, err // MaxBytesError maps to 413 in instrument
+		return nil, err // MaxBytesError maps to 413 in the chassis
 	}
 	spec, err := workload.ParseRun(data)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, httpx.BadRequest("%v", err)
 	}
 	if n := spec.Subtasks(); n > s.cfg.MaxSubtasks {
-		return nil, tooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
+		return nil, httpx.TooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
 	}
 	return spec, nil
 }
@@ -109,11 +110,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 			}
 			sched, err := assign.List(g, spec.Platform, assign.Options{Placement: assign.Spread})
 			if err != nil {
-				return badRequest("scheduling %q: %v", g.Name, err)
+				return httpx.BadRequest("scheduling %q: %v", g.Name, err)
 			}
 			a, err := s.eng.Analyze(sched, spec.Platform, core.Options{})
 			if err != nil {
-				return badRequest("analyzing %q: %v", g.Name, err)
+				return httpx.BadRequest("analyzing %q: %v", g.Name, err)
 			}
 			run, err := a.Execute(core.RunBounds{}, nil)
 			if err != nil {
@@ -137,7 +138,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 		resp.Tasks = append(resp.Tasks, at)
 	}
 	resp.Cache = cacheWire(s.eng.CacheStats())
-	return writeJSON(w, resp)
+	return httpx.WriteJSON(w, resp)
 }
 
 func subtaskNames(g *graph.Graph, ids []graph.SubtaskID) []string {
@@ -308,17 +309,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	stream, trace := r.URL.Query().Get("stream"), r.URL.Query().Get("trace")
 	if trace != "" && trace != "events" {
-		return badRequest("simulate: unknown trace mode %q (events)", trace)
+		return httpx.BadRequest("simulate: unknown trace mode %q (events)", trace)
 	}
 	if stream != "" && trace != "" {
-		return badRequest("simulate: stream=%s and trace=%s are mutually exclusive", stream, trace)
+		return httpx.BadRequest("simulate: stream=%s and trace=%s are mutually exclusive", stream, trace)
 	}
 	if trace == "events" {
 		return s.streamTrace(w, r, spec)
 	}
 	if stream != "" {
 		if stream != "iterations" {
-			return badRequest("simulate: unknown stream mode %q (iterations)", stream)
+			return httpx.BadRequest("simulate: unknown stream mode %q (iterations)", stream)
 		}
 		return s.streamSimulate(w, r, spec)
 	}
@@ -327,12 +328,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		if ctxErr := r.Context().Err(); ctxErr != nil {
 			return ctxErr
 		}
-		return badRequest("%v", err)
+		return httpx.BadRequest("%v", err)
 	}
 	s.observeRun(res, spec.Options.Parallelism, spec.Options.Trace)
 	resp := simulateResponse(spec.Name, spec.Platform.String(), res)
 	resp.Cache = cacheWire(s.eng.CacheStats())
-	return writeJSON(w, resp)
+	return httpx.WriteJSON(w, resp)
 }
 
 // observeRun folds one completed simulation (and its recorder's drop
@@ -370,14 +371,14 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request, spec *workl
 	// Reject anything the kernel would refuse (including tracing with
 	// sharded parallelism) before committing the 200.
 	if err := sim.Validate(spec.Mix, spec.Platform, opt); err != nil {
-		return badRequest("%v", err)
+		return httpx.BadRequest("%v", err)
 	}
 	res, err := s.eng.SimulateContext(r.Context(), spec.Mix, spec.Platform, opt)
 	if err != nil {
 		if ctxErr := r.Context().Err(); ctxErr != nil {
 			return ctxErr
 		}
-		return badRequest("%v", err)
+		return httpx.BadRequest("%v", err)
 	}
 	s.observeRun(res, opt.Parallelism, rec)
 
@@ -416,7 +417,7 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, spec *wo
 	// 200: once the header is on the wire, errors can only surface as
 	// a missing summary line.
 	if err := sim.Validate(spec.Mix, spec.Platform, spec.Options); err != nil {
-		return badRequest("%v", err)
+		return httpx.BadRequest("%v", err)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -513,27 +514,27 @@ var allApproaches = workload.Approaches()
 // sweepGrid expands a sweep request into engine runs.
 func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
 	if len(req.Workload) == 0 {
-		return nil, badRequest("sweep: missing workload document")
+		return nil, httpx.BadRequest("sweep: missing workload document")
 	}
 	spec, err := workload.ParseRun(req.Workload)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, httpx.BadRequest("%v", err)
 	}
 	if n := spec.Subtasks(); n > s.cfg.MaxSubtasks {
-		return nil, tooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
+		return nil, httpx.TooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
 	}
 	if len(req.Values) == 0 {
-		return nil, badRequest("sweep: no values to sweep")
+		return nil, httpx.BadRequest("sweep: no values to sweep")
 	}
 	if req.Param != "" && req.Param != "tiles" && req.Param != "seed" {
-		return nil, badRequest("sweep: unknown param %q (tiles|seed)", req.Param)
+		return nil, httpx.BadRequest("sweep: unknown param %q (tiles|seed)", req.Param)
 	}
 	lines := req.Approaches
 	if len(lines) == 0 {
 		lines = allApproaches
 	}
 	if cells := len(req.Values) * len(lines); cells > s.cfg.MaxSweepCells {
-		return nil, tooLarge("sweep grid has %d cells, limit is %d", cells, s.cfg.MaxSweepCells)
+		return nil, httpx.TooLarge("sweep grid has %d cells, limit is %d", cells, s.cfg.MaxSweepCells)
 	}
 	var runs []engine.Run
 	for _, x := range req.Values {
@@ -544,14 +545,14 @@ func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
 			opt.Seed = int64(x)
 		default: // tiles
 			if x < 1 {
-				return nil, badRequest("sweep: tile count %d out of range", x)
+				return nil, httpx.BadRequest("sweep: tile count %d out of range", x)
 			}
 			p.Tiles = x
 		}
 		for _, line := range lines {
 			ap, err := workload.ParseApproach(line)
 			if err != nil {
-				return nil, badRequest("%v", err)
+				return nil, httpx.BadRequest("%v", err)
 			}
 			o := opt
 			o.Approach = ap
@@ -564,7 +565,7 @@ func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
 			// across workers would race.
 			o.Policy, o.Lookahead, err = workload.ParsePolicy(spec.PolicyName, o.Seed)
 			if err != nil {
-				return nil, badRequest("%v", err)
+				return nil, httpx.BadRequest("%v", err)
 			}
 			runs = append(runs, engine.Run{X: x, Line: line, Mix: spec.Mix, Platform: p, Options: o})
 		}
@@ -579,7 +580,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	}
 	var req SweepRequest
 	if err := json.Unmarshal(data, &req); err != nil {
-		return badRequest("sweep: parsing request: %v", err)
+		return httpx.BadRequest("sweep: parsing request: %v", err)
 	}
 	runs, err := s.sweepGrid(&req)
 	if err != nil {

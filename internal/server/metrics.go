@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"drhwsched/internal/engine"
+	"drhwsched/internal/httpx"
+	"drhwsched/internal/obs"
 	"drhwsched/internal/peerstore"
 	"drhwsched/internal/sim"
 )
@@ -20,40 +22,16 @@ type tierStatser interface {
 	TierStats() peerstore.TierStats
 }
 
-// latencyBuckets are the histogram upper bounds in seconds. Analyses
-// return in microseconds-to-milliseconds; full simulations and sweeps
-// run for seconds, hence the wide spread.
-var latencyBuckets = [...]float64{
-	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// histogram is a fixed-bucket latency histogram. The counts array has
-// one slot per bucket plus a final +Inf slot; being an array, a struct
-// copy under the metrics lock is a consistent snapshot.
-type histogram struct {
-	counts [len(latencyBuckets) + 1]int64
-	sum    float64
-	total  int64
-}
-
-func (h *histogram) observe(seconds float64) {
-	i := sort.SearchFloat64s(latencyBuckets[:], seconds)
-	h.counts[i]++
-	h.sum += seconds
-	h.total++
-}
-
-// metrics aggregates per-endpoint request counts (by status code) and
-// latency histograms, plus the simulation-outcome counters every
-// completed run folds in (prefetch attribution, reconfigurations paid
-// vs avoided, queueing pressure, per-ISP utilization, trace drops).
+// metrics holds the chassis's per-endpoint request counts and latency
+// histograms, plus the simulation-outcome counters every completed run
+// folds in (prefetch attribution, reconfigurations paid vs avoided,
+// queueing pressure, per-ISP utilization, trace drops).
 // All methods are safe for concurrent use.
 type metrics struct {
 	mu       sync.Mutex
 	now      func() time.Time // injectable clock (tests pin uptime)
 	started  time.Time
-	requests map[string]map[int]int64
-	latency  map[string]*histogram
+	requests *httpx.Metrics
 
 	simSequential int64 // completed runs that took the sequential kernel path
 	simSharded    int64 // completed runs that took the chunk-sharded path
@@ -71,8 +49,7 @@ type metrics struct {
 func newMetrics() *metrics {
 	m := &metrics{
 		now:            time.Now,
-		requests:       map[string]map[int]int64{},
-		latency:        map[string]*histogram{},
+		requests:       httpx.NewMetrics(),
 		ispBusySeconds: map[int]float64{},
 	}
 	m.started = m.now()
@@ -80,20 +57,7 @@ func newMetrics() *metrics {
 }
 
 func (m *metrics) observe(endpoint string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[endpoint]
-	if byCode == nil {
-		byCode = map[int]int64{}
-		m.requests[endpoint] = byCode
-	}
-	byCode[code]++
-	h := m.latency[endpoint]
-	if h == nil {
-		h = &histogram{}
-		m.latency[endpoint] = h
-	}
-	h.observe(d.Seconds())
+	m.requests.Observe(endpoint, code, d)
 }
 
 // observeSim folds one completed simulation into the run-outcome
@@ -146,37 +110,7 @@ func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 	fmt.Fprintf(&buf, "# TYPE drhwd_inflight_requests gauge\n")
 	fmt.Fprintf(&buf, "drhwd_inflight_requests %d\n", inflight)
 
-	endpoints := make([]string, 0, len(m.requests))
-	for ep := range m.requests {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-
-	fmt.Fprintf(&buf, "# TYPE drhwd_requests_total counter\n")
-	for _, ep := range endpoints {
-		byCode := m.requests[ep]
-		codes := make([]int, 0, len(byCode))
-		for c := range byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&buf, "drhwd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, byCode[c])
-		}
-	}
-	fmt.Fprintf(&buf, "# TYPE drhwd_request_duration_seconds histogram\n")
-	for _, ep := range endpoints {
-		h := m.latency[ep]
-		var cum int64
-		for i, le := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(&buf, "drhwd_request_duration_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", ep, le, cum)
-		}
-		cum += h.counts[len(latencyBuckets)]
-		fmt.Fprintf(&buf, "drhwd_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(&buf, "drhwd_request_duration_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
-		fmt.Fprintf(&buf, "drhwd_request_duration_seconds_count{endpoint=%q} %d\n", ep, h.total)
-	}
+	m.requests.Render(&buf, "drhwd")
 
 	// Simulation-outcome families: the run-time reconfiguration story
 	// of every simulation this replica has completed. Both execution
@@ -239,15 +173,9 @@ func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 		fmt.Fprintf(&buf, "# TYPE drhwd_store_artifacts_rejected_total counter\n")
 		fmt.Fprintf(&buf, "drhwd_store_artifacts_rejected_total %d\n", t.Rejected)
 		fmt.Fprintf(&buf, "# TYPE drhwd_store_peer_fetch_seconds histogram\n")
-		var cum int64
-		for i, le := range peerstore.FetchBucketBounds {
-			cum += t.FetchBuckets[i]
-			fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-		}
-		cum += t.FetchBuckets[len(peerstore.FetchBucketBounds)]
-		fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_sum %g\n", t.FetchSumSeconds)
-		fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_count %d\n", t.FetchCount)
+		fetch := obs.Histogram{Bounds: peerstore.FetchBucketBounds, Counts: t.FetchBuckets,
+			Sum: t.FetchSumSeconds, Count: t.FetchCount}
+		fetch.Render(&buf, "drhwd_store_peer_fetch_seconds", "")
 	}
 
 	w.Write(buf.Bytes())

@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 
+	"drhwsched/internal/httpx"
 	"drhwsched/internal/peerstore"
 )
 
@@ -37,11 +39,11 @@ func tierWire(t peerstore.TierStats) *TierWire {
 func (s *Server) handleAnalysisArtifact(w http.ResponseWriter, r *http.Request) error {
 	key, err := peerstore.KeyFromPath(r.URL.Path)
 	if err != nil {
-		return badRequest("%v", err)
+		return httpx.BadRequest("%v", err)
 	}
 	a, ok := s.eng.Peek(r.Context(), key)
 	if !ok {
-		return &httpErr{code: http.StatusNotFound, msg: "no analysis under that fingerprint"}
+		return httpx.Errorf(http.StatusNotFound, "no analysis under that fingerprint")
 	}
 	data, err := peerstore.Encode(key, a)
 	if err != nil {
@@ -66,14 +68,18 @@ type PeersResponse struct {
 
 func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) error {
 	if s.cfg.PeerStore == nil {
-		return &httpErr{code: http.StatusNotFound, msg: "peer fill not enabled on this replica"}
+		return httpx.Errorf(http.StatusNotFound, "peer fill not enabled on this replica")
+	}
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		return err // MaxBytesError maps to 413 in the chassis
 	}
 	var req PeersRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return badRequest("parsing peers body: %v", err)
+	if err := json.Unmarshal(data, &req); err != nil {
+		return httpx.BadRequest("parsing peers body: %v", err)
 	}
 	s.cfg.PeerStore.SetPeers(req.Peers)
 	peers := s.cfg.PeerStore.Peers()
-	s.logf("drhwd: peer set updated: %d peer(s)", len(peers))
-	return writeJSON(w, PeersResponse{Peers: peers})
+	s.chassis.Logf("drhwd: peer set updated: %d peer(s)", len(peers))
+	return httpx.WriteJSON(w, PeersResponse{Peers: peers})
 }

@@ -143,3 +143,19 @@ func TestPeersEndpoint(t *testing.T) {
 		t.Fatalf("store tiers = %+v, want compute=1 after one warm analyze", hr.Store)
 	}
 }
+
+// TestPeersBodyBound: /v1/peers bypasses the admission slots but not
+// the body bound, so an oversized peer list is refused with 413 and
+// leaves the peer set as it was.
+func TestPeersBodyBound(t *testing.T) {
+	ps := peerstore.New(peerstore.Config{CacheSize: 4, Peers: []string{"http://a:1"}})
+	_, ts := newTestServer(t, Config{PeerStore: ps, MaxBodyBytes: 1 << 20})
+	big := `{"peers": ["http://b:2", "` + strings.Repeat("x", 4<<20) + `"]}`
+	resp, body := post(t, ts.URL+"/v1/peers", big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %.200s", resp.StatusCode, body)
+	}
+	if got := ps.Peers(); len(got) != 1 || got[0] != "http://a:1" {
+		t.Fatalf("peer set = %v after a refused push, want [http://a:1]", got)
+	}
+}

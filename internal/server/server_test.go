@@ -722,35 +722,6 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2})
-	// Fill both slots so the next admitted-path request is shed.
-	s.inflight <- struct{}{}
-	s.inflight <- struct{}{}
-	resp, body := post(t, ts.URL+"/v1/analyze", smallDoc)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	// healthz and metrics bypass admission.
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz under load: %d", hresp.StatusCode)
-	}
-	<-s.inflight
-	<-s.inflight
-	resp2, body2 := post(t, ts.URL+"/v1/analyze", smallDoc)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-release status = %d: %s", resp2.StatusCode, body2)
-	}
-}
-
 // TestConcurrentAnalyzeSingleFlight is the acceptance criterion: two
 // concurrent identical analyze requests produce exactly one engine
 // cache miss — the second request waits on the first's in-flight
