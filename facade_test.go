@@ -3,6 +3,8 @@ package drhwsched_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 
 	drhw "drhwsched"
@@ -113,6 +115,52 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if mr.MultitaskMode != "greedy" || mr.ResponseTime.P50 < 0 {
 		t.Fatalf("greedy multitask run: %+v", mr)
+	}
+}
+
+// TestFacadeLiteralTileState maps on a TileState built as a struct
+// literal and on one whose Configs were written directly: both place
+// the tiles and report residency exactly as a state kept through Set.
+func TestFacadeLiteralTileState(t *testing.T) {
+	g := drhw.NewGraph("pair")
+	a := g.AddSubtask("a", 10*drhw.Millisecond)
+	b := g.AddSubtask("b", 10*drhw.Millisecond)
+	g.AddEdge(a, b)
+	p := drhw.DefaultPlatform(3)
+	s, err := drhw.ListSchedule(g, p, drhw.ScheduleOptions{Placement: drhw.PlaceSpread})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := drhw.NewTileState(p.Tiles)
+	kept.Set(2, g.Subtask(a).Config, 0)
+	kept.Set(0, g.Subtask(b).Config, 0)
+	want, err := drhw.MapTiles(s, kept, drhw.MapTileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes := drhw.Resident(s, kept, want)
+	if len(wantRes) == 0 {
+		t.Fatalf("no reuse on a state holding every configuration: %v", want.PhysOf)
+	}
+
+	literal := &drhw.TileState{
+		Configs:  slices.Clone(kept.Configs),
+		LastUse:  make([]drhw.Time, p.Tiles),
+		LoadedAt: make([]drhw.Time, p.Tiles),
+	}
+	direct := drhw.NewTileState(p.Tiles)
+	copy(direct.Configs, kept.Configs)
+	for name, st := range map[string]*drhw.TileState{"literal": literal, "direct": direct} {
+		m, err := drhw.MapTiles(s, st, drhw.MapTileOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(m.PhysOf, want.PhysOf) {
+			t.Fatalf("%s: placement %v, kept state %v", name, m.PhysOf, want.PhysOf)
+		}
+		if res := drhw.Resident(s, st, m); !maps.Equal(res, wantRes) {
+			t.Fatalf("%s: residency %v, kept state %v", name, res, wantRes)
+		}
 	}
 }
 

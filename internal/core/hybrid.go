@@ -307,5 +307,5 @@ type RunResult struct {
 func (a *Analysis) Execute(rb RunBounds, resident func(graph.SubtaskID) bool) (*RunResult, error) {
 	// A fresh scratch per call keeps the returned result unaliased;
 	// hot loops reuse the buffers via ExecuteScratch.
-	return a.ExecuteScratch(rb, resident, new(ExecScratch))
+	return a.ExecuteScratch(rb, resident, nil, new(ExecScratch))
 }

@@ -15,7 +15,7 @@ import (
 // next ExecuteScratch call on it. The zero value is ready to use; an
 // ExecScratch must not be shared between goroutines.
 type ExecScratch struct {
-	eval     schedule.Scratch // binds the stored schedule once per call
+	eval     schedule.Scratch // evaluates the stored schedule
 	need     []bool
 	tileFree []model.Time
 	res      RunResult
@@ -45,8 +45,10 @@ func (a *Analysis) planInto(p *InstancePlan, resident func(graph.SubtaskID) bool
 }
 
 // ExecuteScratch is Execute on reusable buffers; the returned RunResult
-// and everything it references are owned by sc.
-func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) bool, sc *ExecScratch) (*RunResult, error) {
+// and everything it references are owned by sc. prog, when not nil, is
+// the stored schedule's schedule.Program (see Analysis.Program),
+// compiled once at design time; nil compiles one per call.
+func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) bool, prog *schedule.Program, sc *ExecScratch) (*RunResult, error) {
 	r := &sc.res
 	a.planInto(&r.Plan, resident)
 	r.InitWindows = r.InitWindows[:0]
@@ -89,10 +91,12 @@ func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) b
 	in.ExecFloor = rb.TaskStart
 	in.LoadFloor = model.MaxT(rb.PortFree, r.InitEnd)
 	in.TileFree = rb.TileFree
-	if err := sc.eval.Bind(in); err != nil {
+	if prog != nil {
+		sc.eval.Use(prog)
+	} else if err := sc.eval.Bind(&in); err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
-	idealTL, err := sc.eval.Eval(in)
+	idealTL, err := sc.eval.Eval(&in)
 	if err != nil {
 		return nil, fmt.Errorf("core: ideal reference: %w", err)
 	}
@@ -106,7 +110,7 @@ func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) b
 	in.PortOrder = r.Plan.BodyLoads
 	in.ExecFloor = r.BodyStart
 	in.TileFree = tileFree
-	tl, err := sc.eval.Eval(in)
+	tl, err := sc.eval.Eval(&in)
 	if err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
@@ -116,4 +120,11 @@ func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) b
 	r.Overhead = r.Makespan - r.Ideal
 	r.PortFreeAfter = model.MaxT(r.InitEnd, tl.LastLoadEnd)
 	return r, nil
+}
+
+// Program compiles the stored schedule's static part for
+// ExecuteScratch: the design-time half of every run-time replay.
+func (a *Analysis) Program() (*schedule.Program, error) {
+	in := a.Sched.EngineInput(a.P, nil)
+	return schedule.Compile(&in)
 }

@@ -7,11 +7,13 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
+	"drhwsched/internal/schedule"
 )
 
 // TestExecuteScratchMatchesExecute pins the scratch-reusing run-time
 // phase to the allocating one across bounds and residency patterns,
-// reusing one scratch throughout (as the simulator does).
+// reusing one scratch throughout (as the simulator does), both on the
+// precompiled Program and compiling per call.
 func TestExecuteScratchMatchesExecute(t *testing.T) {
 	g := graph.New("mix")
 	a0 := g.AddSubtask("a0", 12*model.Millisecond)
@@ -31,6 +33,10 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	prog, err := an.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := &ExecScratch{}
 	residencies := []func(graph.SubtaskID) bool{
 		nil,
@@ -48,25 +54,33 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := an.ExecuteScratch(rb, resident, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Makespan != want.Makespan || got.Ideal != want.Ideal || got.Overhead != want.Overhead ||
-				got.InitEnd != want.InitEnd || got.BodyStart != want.BodyStart ||
-				got.PortFreeAfter != want.PortFreeAfter {
-				t.Fatalf("residency %d bounds %+v: scratch %+v != allocating %+v", ri, rb, got, want)
-			}
-			if len(got.Plan.InitLoads) != len(want.Plan.InitLoads) ||
-				len(got.Plan.BodyLoads) != len(want.Plan.BodyLoads) ||
-				len(got.Plan.Cancelled) != len(want.Plan.Cancelled) {
-				t.Fatalf("residency %d: plans differ: %+v vs %+v", ri, got.Plan, want.Plan)
-			}
-			for i := range want.Timeline.ExecEnd {
-				if got.Timeline.ExecEnd[i] != want.Timeline.ExecEnd[i] {
-					t.Fatalf("residency %d: timelines differ at subtask %d", ri, i)
+			for _, pg := range []*schedule.Program{nil, prog} {
+				got, err := an.ExecuteScratch(rb, resident, pg, sc)
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameRun(t, ri, rb, got, want)
 			}
+		}
+	}
+}
+
+// sameRun fails unless got and want are the same run-time result.
+func sameRun(t *testing.T, ri int, rb RunBounds, got, want *RunResult) {
+	t.Helper()
+	if got.Makespan != want.Makespan || got.Ideal != want.Ideal || got.Overhead != want.Overhead ||
+		got.InitEnd != want.InitEnd || got.BodyStart != want.BodyStart ||
+		got.PortFreeAfter != want.PortFreeAfter {
+		t.Fatalf("residency %d bounds %+v: scratch %+v != allocating %+v", ri, rb, got, want)
+	}
+	if len(got.Plan.InitLoads) != len(want.Plan.InitLoads) ||
+		len(got.Plan.BodyLoads) != len(want.Plan.BodyLoads) ||
+		len(got.Plan.Cancelled) != len(want.Plan.Cancelled) {
+		t.Fatalf("residency %d: plans differ: %+v vs %+v", ri, got.Plan, want.Plan)
+	}
+	for i := range want.Timeline.ExecEnd {
+		if got.Timeline.ExecEnd[i] != want.Timeline.ExecEnd[i] {
+			t.Fatalf("residency %d: timelines differ at subtask %d", ri, i)
 		}
 	}
 }

@@ -67,7 +67,7 @@ type Scheduler interface {
 // under the boundary conditions. It is exported so higher layers (the
 // hybrid heuristic, the simulator) can re-evaluate stored orders.
 func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) (*Result, error) {
-	return EvaluateScratch(s, p, order, b, onDemand, new(Scratch))
+	return EvaluateScratch(s, p, order, b, onDemand, nil, new(Scratch))
 }
 
 // OnDemand issues every load when its subtask becomes ready: the
@@ -83,7 +83,7 @@ func (OnDemand) Name() string { return "on-demand" }
 // from the ideal-start order and re-sort by observed readiness until the
 // order stabilizes.
 func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return o.ScheduleScratch(s, p, loads, b, new(Scratch))
+	return o.ScheduleScratch(s, p, loads, b, nil, new(Scratch))
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in
@@ -103,7 +103,7 @@ func (l List) Name() string { return "list" }
 
 // Schedule implements Scheduler.
 func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return l.ScheduleScratch(s, p, loads, b, new(Scratch))
+	return l.ScheduleScratch(s, p, loads, b, nil, new(Scratch))
 }
 
 // BranchBound finds the load order with the minimum makespan. The search
@@ -136,7 +136,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 		return List{}.Schedule(s, p, loads, b)
 	}
 	sc := new(Scratch)
-	if err := sc.bind(s, p, b); err != nil {
+	if err := sc.bind(s, p, b, nil); err != nil {
 		return nil, err
 	}
 

@@ -12,17 +12,20 @@ import (
 
 // Scratch carries every reusable buffer the prefetch schedulers need,
 // so the simulator's per-instance loop runs them without allocating.
-// Each entry point binds the schedule into the evaluator once and then
-// evaluates every candidate load order on it. The Result returned by
+// Each entry point binds the schedule into the evaluator once — by
+// using the schedule.Program its caller compiled at design time, or by
+// compiling one when it is given none — and then evaluates every
+// candidate load order on it. The Result returned by
 // the *Scratch entry points — including its Timeline — is owned by the
 // scratch and valid until the next call on the same scratch. The zero
 // value is ready to use; a Scratch must not be shared between
 // goroutines.
 type Scratch struct {
-	eval  schedule.Scratch
-	in    schedule.Input // the bound schedule and bounds; NeedLoad is need
-	need  []bool
-	ideal model.Dur // zero-overhead makespan of the bound schedule
+	eval      schedule.Scratch
+	in        schedule.Input // the bound schedule and bounds; NeedLoad is need
+	loadFloor model.Time     // the bounds' LoadFloor, before on-demand raises it
+	need      []bool
+	ideal     model.Dur // zero-overhead makespan of the bound schedule
 
 	order []graph.SubtaskID
 	next  []graph.SubtaskID
@@ -32,10 +35,11 @@ type Scratch struct {
 	repair repairScratch
 }
 
-// bind compiles s on p under bounds b into the evaluator and evaluates
-// the ideal reference (no loads at all) that every candidate's overhead
-// is measured against.
-func (sc *Scratch) bind(s *assign.Schedule, p platform.Platform, b Bounds) error {
+// bind binds s on p under bounds b into the evaluator — prog, compiled
+// from s.EngineInput(p, …), or, when prog is nil, a fresh compile — and
+// evaluates the ideal reference (no loads at all) that every
+// candidate's overhead is measured against.
+func (sc *Scratch) bind(s *assign.Schedule, p platform.Platform, b Bounds, prog *schedule.Program) error {
 	n := s.G.Len()
 	if cap(sc.need) < n {
 		sc.need = make([]bool, n)
@@ -43,10 +47,13 @@ func (sc *Scratch) bind(s *assign.Schedule, p platform.Platform, b Bounds) error
 	sc.in = s.EngineInputNeed(p, nil, sc.need[:n])
 	sc.in.ExecFloor, sc.in.LoadFloor = b.ExecFloor, b.LoadFloor
 	sc.in.TileFree, sc.in.PortFree = b.TileFree, b.PortFree
-	if err := sc.eval.Bind(sc.in); err != nil {
+	sc.loadFloor = b.LoadFloor
+	if prog != nil {
+		sc.eval.Use(prog)
+	} else if err := sc.eval.Bind(&sc.in); err != nil {
 		return err
 	}
-	tl, err := sc.eval.Eval(sc.in)
+	tl, err := sc.eval.Eval(&sc.in)
 	if err != nil {
 		return err
 	}
@@ -57,13 +64,14 @@ func (sc *Scratch) bind(s *assign.Schedule, p platform.Platform, b Bounds) error
 // evaluateInto evaluates one load order on the bound schedule into out;
 // out.Timeline is the scratch's reusable timeline.
 func (sc *Scratch) evaluateInto(out *Result, order []graph.SubtaskID, onDemand bool) error {
-	in := sc.in
+	in := &sc.in
 	clear(in.NeedLoad)
 	for _, id := range order {
 		in.NeedLoad[id] = true
 	}
 	in.PortOrder = order
 	in.OnDemand = onDemand
+	in.LoadFloor = sc.loadFloor
 	if onDemand && in.LoadFloor < in.ExecFloor {
 		// An on-demand load request only exists once the task runs.
 		in.LoadFloor = in.ExecFloor
@@ -84,9 +92,11 @@ func (sc *Scratch) evaluateInto(out *Result, order []graph.SubtaskID, onDemand b
 }
 
 // EvaluateScratch is Evaluate on reusable buffers; the returned Result
-// and its Timeline are owned by sc.
-func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, sc *Scratch) (*Result, error) {
-	if err := sc.bind(s, p, b); err != nil {
+// and its Timeline are owned by sc. prog, when not nil, is s's
+// schedule.Program on p (compiled from s.EngineInput(p, nil)); nil
+// compiles one per call.
+func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, prog *schedule.Program, sc *Scratch) (*Result, error) {
+	if err := sc.bind(s, p, b, prog); err != nil {
 		return nil, err
 	}
 	if err := sc.evaluateInto(&sc.res, order, onDemand); err != nil {
@@ -96,9 +106,10 @@ func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.Subt
 }
 
 // ScheduleScratch is OnDemand.Schedule on reusable buffers; the
-// returned Result and its Timeline are owned by sc.
-func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
-	if err := sc.bind(s, p, b); err != nil {
+// returned Result and its Timeline are owned by sc. prog is as for
+// EvaluateScratch.
+func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, prog *schedule.Program, sc *Scratch) (*Result, error) {
+	if err := sc.bind(s, p, b, prog); err != nil {
 		return nil, err
 	}
 	n := s.G.Len()
@@ -141,9 +152,10 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 }
 
 // ScheduleScratch is List.Schedule on reusable buffers; the returned
-// Result and its Timeline are owned by sc.
-func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
-	if err := sc.bind(s, p, b); err != nil {
+// Result and its Timeline are owned by sc. prog is as for
+// EvaluateScratch.
+func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, prog *schedule.Program, sc *Scratch) (*Result, error) {
+	if err := sc.bind(s, p, b, prog); err != nil {
 		return nil, err
 	}
 	return l.schedule(s, loads, sc)

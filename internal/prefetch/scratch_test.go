@@ -9,6 +9,7 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
+	"drhwsched/internal/schedule"
 )
 
 // randomSched builds a random DAG schedule for equivalence checks.
@@ -36,10 +37,12 @@ func randomSched(t *testing.T, rng *rand.Rand, n, tiles int) (*assign.Schedule, 
 
 // TestScratchSchedulersMatchAllocating pins the scratch entry points to
 // the allocating ones: identical port orders, makespans and overheads
-// on a spread of random schedules and boundary conditions.
+// on a spread of random schedules and boundary conditions, on a
+// precompiled schedule.Program (odd trials) and compiling per call.
 func TestScratchSchedulersMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := &Scratch{} // deliberately reused across every case
+	var err error
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(8)
 		tiles := 2 + rng.Intn(3)
@@ -49,12 +52,19 @@ func TestScratchSchedulersMatchAllocating(t *testing.T) {
 		}
 		b.LoadFloor = b.ExecFloor - model.Time(rng.Intn(10))*model.Time(model.Millisecond)
 		loads := s.AllLoads()
+		var prog *schedule.Program
+		if trial%2 == 1 {
+			in := s.EngineInput(p, nil)
+			if prog, err = schedule.Compile(&in); err != nil {
+				t.Fatal(err)
+			}
+		}
 
 		want, err := (OnDemand{}).Schedule(s, p, loads, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, sc)
+		got, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, prog, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +74,7 @@ func TestScratchSchedulersMatchAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = (List{}).ScheduleScratch(s, p, loads, b, sc)
+		got, err = (List{}).ScheduleScratch(s, p, loads, b, prog, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +84,27 @@ func TestScratchSchedulersMatchAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = EvaluateScratch(s, p, loads, b, false, sc)
+		got, err = EvaluateScratch(s, p, loads, b, false, prog, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareResults(t, "evaluate", trial, want, got)
+	}
+}
+
+// TestScratchRejectsForeignProgram: a Program compiled from another
+// schedule is refused, not evaluated.
+func TestScratchRejectsForeignProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	s, p := randomSched(t, rng, 6, 3)
+	other, _ := randomSched(t, rng, 6, 3)
+	in := other.EngineInput(p, nil)
+	prog, err := schedule.Compile(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (List{}).ScheduleScratch(s, p, s.AllLoads(), Bounds{}, prog, &Scratch{}); err == nil {
+		t.Fatal("list scheduled on a foreign program")
 	}
 }
 

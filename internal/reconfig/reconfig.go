@@ -14,6 +14,16 @@
 // 0..k-1 chosen by the design-time scheduler). Because all tiles are
 // identical, the run-time system is free to permute them; Map picks the
 // permutation.
+//
+// The part of that decision that depends only on the schedule and its
+// criticality analysis is compiled once into a Plan: configuration
+// keys and the busy tiles in pass order. Per task instance,
+// Plan.MapInto then compares integer keys against the State's per-tile
+// key column, confirming every hit by string equality, and
+// Plan.ResidentInto and Plan.Commit work on a residency bitset. Map,
+// Resident and Commit are the single-shot forms over a schedule: Map
+// compiles a Plan per call, Resident and Commit compare configuration
+// strings directly.
 package reconfig
 
 import (
@@ -33,6 +43,14 @@ type State struct {
 	LastUse []model.Time
 	// LoadedAt is when the current configuration was loaded.
 	LoadedAt []model.Time
+
+	// keys caches configKey of each tile's configuration for the
+	// mapping, and keyed holds the configuration each key was computed
+	// from. Set, Reset and Clone keep the cache current; the mapping
+	// re-keys any tile whose Configs entry was written directly (see
+	// tileKeys).
+	keys  []uint64
+	keyed []graph.ConfigID
 }
 
 // NewState returns an all-empty tile state.
@@ -41,6 +59,8 @@ func NewState(tiles int) *State {
 		Configs:  make([]graph.ConfigID, tiles),
 		LastUse:  make([]model.Time, tiles),
 		LoadedAt: make([]model.Time, tiles),
+		keys:     make([]uint64, tiles),
+		keyed:    make([]graph.ConfigID, tiles),
 	}
 }
 
@@ -53,6 +73,8 @@ func (st *State) Reset() {
 		st.LastUse[t] = 0
 		st.LoadedAt[t] = 0
 	}
+	clear(st.keys)
+	clear(st.keyed)
 }
 
 // Tiles reports the number of physical tiles tracked.
@@ -60,7 +82,15 @@ func (st *State) Tiles() int { return len(st.Configs) }
 
 // Set records that tile now holds cfg, loaded at the given time.
 func (st *State) Set(tile int, cfg graph.ConfigID, at model.Time) {
+	st.set(tile, cfg, configKey(cfg), at)
+}
+
+// set is Set with the configuration's key already known.
+func (st *State) set(tile int, cfg graph.ConfigID, key uint64, at model.Time) {
 	st.Configs[tile] = cfg
+	if len(st.keys) == len(st.Configs) {
+		st.keys[tile], st.keyed[tile] = key, cfg
+	}
 	st.LoadedAt[tile] = at
 	st.LastUse[tile] = at
 }
@@ -91,6 +121,8 @@ func (st *State) Clone() *State {
 	copy(c.Configs, st.Configs)
 	copy(c.LastUse, st.LastUse)
 	copy(c.LoadedAt, st.LoadedAt)
+	copy(c.keys, st.keys)
+	copy(c.keyed, st.keyed)
 	return c
 }
 
@@ -98,9 +130,10 @@ func (st *State) Clone() *State {
 // no tile holding the wanted configuration is available.
 type Policy interface {
 	Name() string
-	// Victim picks one tile from candidates (never empty). future
-	// lists the configurations of upcoming subtasks, nearest first,
-	// for lookahead policies; it may be nil.
+	// Victim picks one tile from candidates (never empty, ascending,
+	// and not to be modified). future lists the configurations of
+	// upcoming subtasks, nearest first, for lookahead policies; it may
+	// be nil.
 	Victim(st *State, candidates []int, future []graph.ConfigID) int
 }
 
@@ -233,9 +266,9 @@ type MapOptions struct {
 // Virtual tiles that execute nothing are parked on the leftover
 // physical tiles so the configurations there survive for future tasks.
 func Map(s *assign.Schedule, st *State, opt MapOptions) (Mapping, error) {
-	// A fresh scratch per call keeps the returned mapping unaliased;
-	// hot loops reuse buffers via MapInto.
-	return MapInto(s, st, opt, new(MapScratch))
+	// A fresh plan and scratch per call keep the returned mapping
+	// unaliased; hot loops compile a Plan once and reuse a MapScratch.
+	return NewPlan(s, opt.Critical).MapInto(st, opt, new(MapScratch))
 }
 
 // Resident reports, per subtask, whether its configuration is already on
@@ -243,7 +276,19 @@ func Map(s *assign.Schedule, st *State, opt MapOptions) (Mapping, error) {
 // the previous task (first on the tile) or left by an earlier same-
 // configuration subtask of this very instance.
 func Resident(s *assign.Schedule, st *State, m Mapping) map[graph.SubtaskID]bool {
-	return ResidentInto(nil, s, st, m)
+	res := make(map[graph.SubtaskID]bool)
+	for v := 0; v < s.Tiles; v++ {
+		cur := st.Configs[m.PhysOf[v]]
+		for _, id := range s.TileOrder[v] {
+			cfg := s.G.Subtask(id).Config
+			if cfg == cur {
+				res[id] = true
+			} else {
+				cur = cfg
+			}
+		}
+	}
+	return res
 }
 
 // Commit updates the state after the instance ran: each busy tile holds

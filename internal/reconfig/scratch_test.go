@@ -33,8 +33,8 @@ func randomMapSched(t *testing.T, rng *rand.Rand, n, tiles int) *assign.Schedule
 }
 
 // TestMapIntoMatchesFreshAcrossReuse drives one MapScratch (and one
-// residency map) through a sequence of placements over an evolving tile
-// state — the simulator's pattern — and pins every decision to a
+// residency bitset) through a sequence of placements over an evolving
+// tile state — the simulator's pattern — and pins every decision to a
 // fresh-buffer run. Stale scratch state (unreset taken flags, leftover
 // partition buffers) shows up as a divergence.
 func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
@@ -43,7 +43,7 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 	stScratch := NewState(tiles)
 	stFresh := NewState(tiles)
 	sc := &MapScratch{}
-	var res map[graph.SubtaskID]bool
+	var res []bool
 	for step := 0; step < 30; step++ {
 		s := randomMapSched(t, rng, 2+rng.Intn(6), 2+rng.Intn(4))
 		crit := func(id graph.SubtaskID) bool { return id%2 == 0 }
@@ -52,7 +52,8 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 			opt.Critical = nil
 		}
 
-		got, err := MapInto(s, stScratch, opt, sc)
+		pl := NewPlan(s, opt.Critical)
+		got, err := pl.MapInto(stScratch, opt, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +68,11 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 			}
 		}
 
-		res = ResidentInto(res, s, stScratch, got)
+		var count int
+		res, count = pl.ResidentInto(res, stScratch, got)
 		wantRes := Resident(s, stFresh, want)
-		if len(res) != len(wantRes) {
-			t.Fatalf("step %d: residency %v vs %v", step, res, wantRes)
+		if count != len(wantRes) {
+			t.Fatalf("step %d: residency %v (%d) vs %v", step, res, count, wantRes)
 		}
 		for id := range wantRes {
 			if !res[id] {
@@ -81,8 +83,11 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 		// Advance both states identically so later steps see real
 		// residency histories.
 		end := model.Time(step+1) * model.Time(model.Millisecond)
-		endOf := func(graph.SubtaskID) model.Time { return end }
-		Commit(s, stScratch, got, res, endOf)
-		Commit(s, stFresh, want, wantRes, endOf)
+		execEnd := make([]model.Time, s.G.Len())
+		for i := range execEnd {
+			execEnd[i] = end
+		}
+		pl.Commit(stScratch, got, res, execEnd)
+		Commit(s, stFresh, want, wantRes, func(graph.SubtaskID) model.Time { return end })
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"drhwsched/internal/graph"
@@ -147,11 +148,16 @@ func diffTimelines(got *Timeline, gotErr error, want *Timeline, wantErr error) s
 
 // checkAgainstReference binds sc to a random schedule drawn from rng and
 // compares evals candidates with the constraint-DAG reference, the first
-// through Compute and the rest through Eval on the bound scratch. It
-// returns the number of feasible and cyclic candidates.
+// through Compute and the rest through Eval on the bound scratch. Each
+// candidate is also evaluated on a second scratch that uses a Program
+// compiled from the first candidate; where Compile fails, Compute must
+// fail the same way. It returns the number of feasible and cyclic
+// candidates.
 func checkAgainstReference(t testing.TB, rng *rand.Rand, sc *Scratch, evals int) (feasible, cyclic int) {
 	t.Helper()
 	static := randomStatic(rng)
+	var shared Scratch
+	var progErr error
 	for k := 0; k < evals; k++ {
 		in := randomCandidate(rng, static)
 		want, wantErr := refCompute(in)
@@ -159,12 +165,25 @@ func checkAgainstReference(t testing.TB, rng *rand.Rand, sc *Scratch, evals int)
 		var err error
 		if k == 0 {
 			got, err = sc.Compute(in)
+			var prog *Program
+			prog, progErr = Compile(&in)
+			shared.Use(prog)
 		} else {
-			got, err = sc.Eval(in)
+			got, err = sc.Eval(&in)
 		}
 		if d := diffTimelines(got, err, want, wantErr); d != "" {
 			t.Fatalf("candidate %d of %d subtasks, %d ports, on-demand %v, port order %v, tiles %v: %s",
 				k, in.G.Len(), in.P.Ports, in.OnDemand, in.PortOrder, in.TileOrder, d)
+		}
+		if progErr != nil {
+			if k == 0 && (err == nil || err.Error() != progErr.Error()) {
+				t.Fatalf("Compile failed with %v, Compute with %v", progErr, err)
+			}
+			continue
+		}
+		got, err = shared.Eval(&in)
+		if d := diffTimelines(got, err, want, wantErr); d != "" {
+			t.Fatalf("candidate %d on a compiled Program: %s", k, d)
 		}
 		if wantErr == nil {
 			feasible++
@@ -213,16 +232,16 @@ func FuzzCompute(f *testing.F) {
 func TestEvalRejectsForeignStatic(t *testing.T) {
 	_, base := fig3()
 	sc := &Scratch{}
-	if _, err := sc.Eval(base); !errors.Is(err, errMismatch) {
+	if _, err := sc.Eval(&base); !errors.Is(err, errMismatch) {
 		t.Fatalf("Eval before Bind: got %v", err)
 	}
-	if err := sc.Bind(base); err != nil {
+	if err := sc.Bind(&base); err != nil {
 		t.Fatal(err)
 	}
 	copied := base
 	copied.Assignment = slices.Clone(base.Assignment)
 	copied.TileOrder = [][]graph.SubtaskID{{0}, {1, 3}, {2}}
-	if _, err := sc.Eval(copied); err != nil {
+	if _, err := sc.Eval(&copied); err != nil {
 		t.Fatalf("equal static part in fresh slices: %v", err)
 	}
 	_, other := fig3()
@@ -240,17 +259,73 @@ func TestEvalRejectsForeignStatic(t *testing.T) {
 	for name, mutate := range cases {
 		in := base
 		mutate(&in)
-		if _, err := sc.Eval(in); !errors.Is(err, errMismatch) {
+		if _, err := sc.Eval(&in); !errors.Is(err, errMismatch) {
 			t.Errorf("%s: got %v, want mismatch", name, err)
 		}
+	}
+	// Use points the scratch at a compiled Program; nil unbinds.
+	prog, err := Compile(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var used Scratch
+	used.Use(prog)
+	if _, err := used.Eval(&copied); err != nil {
+		t.Fatalf("Eval on a compiled Program: %v", err)
+	}
+	used.Use(nil)
+	if _, err := used.Eval(&base); !errors.Is(err, errMismatch) {
+		t.Fatalf("Eval after Use(nil): got %v", err)
 	}
 	// A failed Bind leaves nothing bound.
 	bad := base
 	bad.Assignment = []int{0}
-	if err := sc.Bind(bad); err == nil {
+	if err := sc.Bind(&bad); err == nil {
 		t.Fatal("short assignment bound")
 	}
-	if _, err := sc.Eval(base); !errors.Is(err, errMismatch) {
+	if _, err := sc.Eval(&base); !errors.Is(err, errMismatch) {
 		t.Fatalf("Eval after failed Bind: got %v", err)
+	}
+}
+
+// TestProgramSharedAcrossGoroutines evaluates one compiled Program from
+// several goroutines, each on its own Scratch, and pins every timeline
+// to Compute: a Program is read-only after Compile (run under -race).
+func TestProgramSharedAcrossGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	static := randomStatic(rng)
+	for static.G.Len() < 8 {
+		static = randomStatic(rng)
+	}
+	cands := make([]Input, 64)
+	for i := range cands {
+		cands[i] = randomCandidate(rng, static)
+	}
+	prog, err := Compile(&cands[0])
+	if err != nil {
+		t.Skipf("static part does not compile: %v", err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc, fresh Scratch
+			sc.Use(prog)
+			for _, in := range cands {
+				got, gotErr := sc.Eval(&in)
+				want, wantErr := fresh.Compute(in)
+				if d := diffTimelines(got, gotErr, want, wantErr); d != "" {
+					errs <- d
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for d := range errs {
+		t.Fatal(d)
 	}
 }

@@ -18,15 +18,21 @@
 //     reconfiguration controller for its whole latency.
 //
 // The decisions are consistent when these constraints admit no cycle.
-// Scratch.Bind compiles the part of an Input a scheduler never varies
-// (graph, platform, assignment, tile orders, communication delays);
-// Scratch.Eval then resolves one candidate load set and port order
-// directly: loads in port order, each execution by a memoized walk over
-// its graph predecessors, its tile predecessor and its own load. A
-// constraint cycle shows up as a revisit during that walk or as an
-// execution needing a load not yet issued, and is rejected. Compute is
-// Bind plus Eval. Verify re-checks a computed timeline against the raw
-// constraints independently, which the test suite uses as an oracle.
+// Compile turns the part of an Input a scheduler never varies (graph,
+// platform, assignment, tile orders, communication delays) into an
+// immutable Program, once per schedule: a caller that replays one
+// schedule many times — the simulator, per prepared artifact — compiles
+// it at design time and shares it, read-only, between goroutines.
+// Scratch.Use binds a Program in O(1), and Scratch.Bind compiles into
+// the scratch's own. Scratch.Eval then resolves one candidate load set
+// and port order directly, after checking the candidate's static part
+// against the Program: loads in port order, each execution by a
+// memoized walk over its graph predecessors, its tile predecessor and
+// its own load. A constraint cycle shows up as a revisit during that
+// walk or as an execution needing a load not yet issued, and is
+// rejected. Compute is Bind plus Eval. Verify re-checks a computed timeline
+// against the raw constraints independently, which the test suite uses
+// as an oracle.
 package schedule
 
 import (
@@ -119,7 +125,8 @@ func (tl *Timeline) Makespan() model.Dur { return tl.End.Sub(tl.Start) }
 //
 // Every call allocates a fresh Timeline (the scratch goes out of scope
 // with the call); callers evaluating many candidates of one schedule
-// bind a Scratch once and call Eval per candidate instead.
+// bind a Scratch once (Bind, or Use with a compiled Program) and call
+// Eval per candidate instead.
 func Compute(in Input) (*Timeline, error) { return new(Scratch).Compute(in) }
 
 // Ideal returns the same input with every load removed: the schedule's

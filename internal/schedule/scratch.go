@@ -10,37 +10,88 @@ import (
 	"drhwsched/internal/platform"
 )
 
+// Program is the compiled static part of an Input: the graph,
+// platform, assignment, tile orders and communication delays a
+// scheduler never varies between candidates. Compile builds one; it is
+// immutable afterwards, so one Program may be shared by any number of
+// Scratches, concurrently. It keeps every index column in one int32
+// array, so a Program costs a few small allocations however large the
+// graph. Execution and load durations are read from the graph, which
+// must not be modified while a Program of it is in use.
+type Program struct {
+	g    *graph.Graph // nil for a Program that failed to compile
+	p    platform.Platform
+	comm bool // CommDelay was set
+	rows int  // len(TileOrder)
+
+	// ints holds the index columns (see cols); predComm is the
+	// communication delay of each entry of the pred column, empty
+	// without a CommDelay.
+	ints     []int32
+	predComm []model.Dur
+
+	cycle *cycleError // the error every constraint cycle reports
+}
+
+// cols is a Program's columns, sliced out of its storage. Subtask i's
+// graph predecessors are pred[predOff[i]:predOff[i+1]]; prevExec is
+// the previous subtask on the same processor, -1 if first; order is
+// the TileOrder rows flattened and rowEnd each row's end offset in it.
+type cols struct {
+	subs     []graph.Subtask
+	assign   []int32
+	order    []int32
+	prevExec []int32
+	predOff  []int32
+	rowEnd   []int32
+	pred     []int32
+}
+
+// carve slices the columns of g's Program with rows tile orders out of
+// ints, which holds 4n+1+rows index entries and then the pred column.
+func (c *cols) carve(g *graph.Graph, rows int, ints []int32) {
+	n := g.Len()
+	next := func(k int) []int32 {
+		col := ints[:k:k]
+		ints = ints[k:]
+		return col
+	}
+	c.subs = g.Subtasks()
+	c.assign, c.order, c.prevExec = next(n), next(n), next(n)
+	c.predOff, c.rowEnd = next(n+1), next(rows)
+	c.pred = ints
+}
+
+// cycleError reports inconsistent decision orders. A Program holds its
+// own, so a scheduler rejecting a cyclic candidate allocates nothing;
+// recompiling a Program replaces it, so errors already returned keep
+// their text.
+type cycleError struct{ name string }
+
+func (e *cycleError) Error() string {
+	return fmt.Sprintf("schedule: inconsistent decision orders (constraint cycle) in %q", e.name)
+}
+
 // Scratch evaluates many candidate decision sets of one schedule without
-// allocating. Bind compiles the static part of an Input once; Eval then
-// resolves one candidate (load set, port order, floors) per call. A
-// scheduler binds once per call and evaluates every candidate load order
-// on the bound scratch.
+// allocating. Its static part is a Program: Use points the scratch at a
+// shared, precompiled one in O(1), and Bind compiles in's static part
+// into the scratch's own. Eval then resolves one candidate (load set,
+// port order, floors) per call. A scheduler binds once per call, or
+// uses the Program its caller compiled at design time, and evaluates
+// every candidate load order on the scratch.
 //
 // The Timeline returned by Eval or Compute — including all of its
 // slices — is owned by the Scratch and valid only until its next Eval;
-// a caller that needs a reference value (an ideal makespan) alongside a
-// timeline evaluates the reference first and keeps only the numbers.
+// a caller that needs a reference value (an ideal
+// makespan) alongside a timeline evaluates the reference first and
+// keeps only the numbers.
 //
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use.
 type Scratch struct {
-	// Static part, compiled by Bind. g is nil while nothing is bound.
-	g        *graph.Graph
-	p        platform.Platform
-	comm     bool              // CommDelay was set
-	assign   []int             // copy of Input.Assignment
-	order    []graph.SubtaskID // Input.TileOrder, flattened
-	rowEnd   []int             // end offset of each TileOrder row in order
-	prevExec []graph.SubtaskID // previous subtask on the same processor, -1 if first
-	exec     []model.Dur       // execution time per subtask
-	lat      []model.Dur       // load latency per subtask
-	onISP    []bool
-	// Graph predecessors in CSR form: subtask i's predecessors are
-	// pred[predOff[i]:predOff[i+1]], each with the communication delay
-	// of its edge.
-	predOff  []int
-	pred     []graph.SubtaskID
-	predComm []model.Dur
+	prog *Program // nil while nothing is bound
+	cols          // prog's columns
+	own  Program  // Bind's compile target
 
 	// Per-Eval state.
 	mark      []bool  // validation: subtask seen on a tile / in the port order
@@ -68,18 +119,60 @@ var errMismatch = errors.New("schedule: input does not match the bound graph, pl
 // reusable timeline. Semantics are identical to the package-level
 // Compute; only the allocation behaviour differs.
 func (sc *Scratch) Compute(in Input) (*Timeline, error) {
-	if err := sc.Bind(in); err != nil {
+	if err := sc.Bind(&in); err != nil {
 		return nil, err
 	}
-	return sc.Eval(in)
+	return sc.Eval(&in)
 }
 
-// Bind validates and compiles the static part of in: graph, platform,
-// assignment, tile orders, communication delays, execution and load
-// durations. The graph must not be modified while it is bound. A failed
-// Bind leaves the scratch unbound.
-func (sc *Scratch) Bind(in Input) error {
-	sc.g = nil
+// Compile validates and compiles the static part of in: graph,
+// platform, assignment, tile orders and communication delays.
+func Compile(in *Input) (*Program, error) {
+	pg := new(Program)
+	if err := pg.compile(in, nil); err != nil {
+		return nil, err
+	}
+	return pg, nil
+}
+
+// Use binds prog, compiled earlier by Compile, to the scratch. It is
+// O(1): the scratch slices prog's columns and keeps a reference, so
+// prog must outlive its use. A nil prog unbinds.
+func (sc *Scratch) Use(prog *Program) {
+	if prog == sc.prog {
+		return // already in use: a compiled Program never changes
+	}
+	sc.prog = prog
+	if prog == nil {
+		sc.cols = cols{}
+		return
+	}
+	sc.cols.carve(prog.g, prog.rows, prog.ints)
+	sc.grow(len(sc.subs))
+}
+
+// Bind compiles in's static part into the scratch's own Program and
+// binds it, as Compile then Use would, reusing the scratch's buffers.
+// A failed Bind leaves the scratch unbound.
+func (sc *Scratch) Bind(in *Input) error {
+	sc.Use(nil)
+	if in.G != nil {
+		sc.grow(in.G.Len())
+		clear(sc.mark)
+	}
+	if err := sc.own.compile(in, sc.mark); err != nil {
+		return err
+	}
+	sc.Use(&sc.own)
+	return nil
+}
+
+// compile validates in's static part and compiles it into pg, reusing
+// pg's buffers. seen is a cleared working buffer of one entry per
+// subtask, or nil to allocate one. On error pg is left invalid (nil
+// graph).
+func (pg *Program) compile(in *Input, seen []bool) error {
+	pg.g = nil
 	if in.G == nil {
 		return errors.New("schedule: nil graph")
 	}
@@ -93,11 +186,20 @@ func (sc *Scratch) Bind(in Input) error {
 	if len(in.TileOrder) > procs {
 		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), procs)
 	}
-	sc.grow(n)
-	seen := sc.mark
-	sc.order, sc.rowEnd = sc.order[:0], sc.rowEnd[:0]
+	if seen == nil {
+		seen = make([]bool, n)
+	}
+	edges := in.G.Edges()
+	if need := 4*n + 1 + len(in.TileOrder) + len(edges); cap(pg.ints) < need {
+		pg.ints = make([]int32, need)
+	} else {
+		pg.ints = pg.ints[:need]
+	}
+	var c cols
+	c.carve(in.G, len(in.TileOrder), pg.ints)
+	at := 0
 	for t, row := range in.TileOrder {
-		prev := graph.SubtaskID(-1)
+		prev := int32(-1)
 		for _, id := range row {
 			if id < 0 || int(id) >= n {
 				return fmt.Errorf("schedule: tile %d lists unknown subtask %d", t, id)
@@ -109,11 +211,12 @@ func (sc *Scratch) Bind(in Input) error {
 			if in.Assignment[id] != t {
 				return fmt.Errorf("schedule: subtask %d ordered on tile %d but assigned to %d", id, t, in.Assignment[id])
 			}
-			sc.prevExec[id] = prev
-			prev = id
+			c.prevExec[id] = prev
+			prev = int32(id)
+			c.order[at] = int32(id)
+			at++
 		}
-		sc.order = append(sc.order, row...)
-		sc.rowEnd = append(sc.rowEnd, len(sc.order))
+		c.rowEnd[t] = int32(at)
 	}
 	for i, ok := range seen {
 		if !ok {
@@ -124,85 +227,86 @@ func (sc *Scratch) Bind(in Input) error {
 		if a < 0 || a >= procs {
 			return fmt.Errorf("schedule: subtask %d assigned to processor %d of %d", i, a, procs)
 		}
-		st := in.G.Subtask(graph.SubtaskID(i))
+		st := &c.subs[i]
 		if st.OnISP && !in.P.IsISP(a) {
 			return fmt.Errorf("schedule: ISP subtask %d assigned to tile %d", i, a)
 		}
 		if !st.OnISP && in.P.IsISP(a) {
 			return fmt.Errorf("schedule: hardware subtask %d assigned to ISP %d", i, a)
 		}
-		sc.exec[i], sc.lat[i], sc.onISP[i] = st.Exec, in.P.LoadLatency(st.Load), st.OnISP
+		c.assign[i] = int32(a)
 	}
-	copy(sc.assign, in.Assignment)
 
-	edges := in.G.Edges()
-	clear(sc.predOff)
+	pg.predComm = pg.predComm[:0]
+	if in.CommDelay != nil {
+		pg.predComm = slices.Grow(pg.predComm, len(edges))[:len(edges)]
+	}
+	clear(c.predOff)
 	for _, e := range edges {
-		sc.predOff[e.To+1]++
+		c.predOff[e.To+1]++
 	}
 	for i := 0; i < n; i++ {
-		sc.predOff[i+1] += sc.predOff[i]
+		c.predOff[i+1] += c.predOff[i]
 	}
-	sc.pred = slices.Grow(sc.pred[:0], len(edges))[:len(edges)]
-	sc.predComm = slices.Grow(sc.predComm[:0], len(edges))[:len(edges)]
 	// Fill each row from its end, then shift the offsets back: the
 	// decrement leaves predOff[i] at row i's start.
 	for k := len(edges) - 1; k >= 0; k-- {
 		e := edges[k]
-		sc.predOff[e.To+1]--
-		at := sc.predOff[e.To+1]
-		sc.pred[at] = e.From
-		sc.predComm[at] = 0
+		c.predOff[e.To+1]--
+		at := c.predOff[e.To+1]
+		c.pred[at] = int32(e.From)
 		if in.CommDelay != nil {
-			sc.predComm[at] = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
+			pg.predComm[at] = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
 		}
 	}
-	copy(sc.predOff, sc.predOff[1:])
-	sc.predOff[n] = len(edges)
+	copy(c.predOff, c.predOff[1:])
+	c.predOff[n] = int32(len(edges))
 
-	sc.g, sc.p, sc.comm = in.G, in.P, in.CommDelay != nil
+	pg.g, pg.p, pg.comm, pg.rows = in.G, in.P, in.CommDelay != nil, len(in.TileOrder)
+	pg.cycle = &cycleError{name: in.G.Name}
 	return nil
 }
 
-// grow sizes the per-subtask buffers for n subtasks and resets the
-// validation marks.
+// grow sizes the per-Eval buffers for n subtasks.
 func (sc *Scratch) grow(n int) {
-	if cap(sc.predOff) < n+1 {
+	if cap(sc.mark) < n {
 		sc.mark = make([]bool, n)
 		sc.state = make([]uint8, n)
-		sc.assign = make([]int, n)
-		sc.prevExec = make([]graph.SubtaskID, n)
-		sc.exec = make([]model.Dur, n)
-		sc.lat = make([]model.Dur, n)
-		sc.onISP = make([]bool, n)
-		sc.predOff = make([]int, n+1)
 		sc.loadStart = make([]model.Time, n)
 		sc.loadEnd = make([]model.Time, n)
 		sc.loadPort = make([]int, n)
 		sc.execStart = make([]model.Time, n)
 		sc.execEnd = make([]model.Time, n)
 	}
-	sc.mark, sc.state, sc.assign = sc.mark[:n], sc.state[:n], sc.assign[:n]
-	sc.prevExec, sc.exec, sc.lat, sc.onISP = sc.prevExec[:n], sc.exec[:n], sc.lat[:n], sc.onISP[:n]
-	sc.predOff = sc.predOff[:n+1]
+	sc.mark, sc.state = sc.mark[:n], sc.state[:n]
 	sc.loadStart, sc.loadEnd, sc.loadPort = sc.loadStart[:n], sc.loadEnd[:n], sc.loadPort[:n]
 	sc.execStart, sc.execEnd = sc.execStart[:n], sc.execEnd[:n]
-	clear(sc.mark)
 }
 
 // sameStatic reports whether in's static part is the bound one. Of the
 // platform only the fields the timeline depends on count.
 func (sc *Scratch) sameStatic(in *Input) bool {
-	p := in.P
-	if sc.g == nil || in.G != sc.g || p.Tiles != sc.p.Tiles || p.ISPs != sc.p.ISPs || p.Ports != sc.p.Ports ||
-		p.ReconfigLatency != sc.p.ReconfigLatency || (in.CommDelay != nil) != sc.comm ||
-		!slices.Equal(in.Assignment, sc.assign) || len(in.TileOrder) != len(sc.rowEnd) {
+	pg, p := sc.prog, in.P
+	if pg == nil || pg.g == nil || in.G != pg.g || p.Tiles != pg.p.Tiles || p.ISPs != pg.p.ISPs || p.Ports != pg.p.Ports ||
+		p.ReconfigLatency != pg.p.ReconfigLatency || (in.CommDelay != nil) != pg.comm ||
+		len(in.Assignment) != len(sc.assign) || len(in.TileOrder) != len(sc.rowEnd) {
 		return false
 	}
-	from := 0
-	for t, row := range in.TileOrder {
-		if !slices.Equal(row, sc.order[from:sc.rowEnd[t]]) {
+	for i, a := range in.Assignment {
+		if a != int(sc.assign[i]) {
 			return false
+		}
+	}
+	from := int32(0)
+	for t, row := range in.TileOrder {
+		want := sc.order[from:sc.rowEnd[t]]
+		if len(row) != len(want) {
+			return false
+		}
+		for j, id := range row {
+			if id != graph.SubtaskID(want[j]) {
+				return false
+			}
 		}
 		from = sc.rowEnd[t]
 	}
@@ -214,31 +318,27 @@ func (sc *Scratch) sameStatic(in *Input) bool {
 // returns the timeline, owned by the scratch. It fails if in's static
 // part is not the bound one, if the dynamic part is malformed, or if the
 // decision orders are mutually inconsistent (cyclic).
-func (sc *Scratch) Eval(in Input) (*Timeline, error) {
-	if !sc.sameStatic(&in) {
+func (sc *Scratch) Eval(in *Input) (*Timeline, error) {
+	if !sc.sameStatic(in) {
 		return nil, errMismatch
 	}
-	if err := sc.checkDynamic(&in); err != nil {
+	pg := sc.prog
+	n := len(sc.subs)
+	if err := sc.checkDynamic(in); err != nil {
 		return nil, err
 	}
-	n := len(sc.exec)
 	tl := &sc.tl
-	*tl = Timeline{
-		LoadStart: sc.loadStart,
-		LoadEnd:   sc.loadEnd,
-		LoadPort:  sc.loadPort,
-		ExecStart: sc.execStart,
-		ExecEnd:   sc.execEnd,
-		Start:     in.ExecFloor,
-	}
+	tl.LoadStart, tl.LoadEnd, tl.LoadPort = sc.loadStart, sc.loadEnd, sc.loadPort
+	tl.ExecStart, tl.ExecEnd = sc.execStart, sc.execEnd
+	tl.Start, tl.End, tl.LastLoadEnd, tl.PortFreeAfter = in.ExecFloor, 0, 0, nil
 	for i := 0; i < n; i++ {
 		tl.LoadStart[i], tl.LoadEnd[i], tl.LoadPort[i] = NoEvent, NoEvent, -1
 		sc.state[i] = unvisited
 	}
-	if cap(sc.portFree) < sc.p.Ports {
-		sc.portFree = make([]model.Time, sc.p.Ports)
+	if cap(sc.portFree) < pg.p.Ports {
+		sc.portFree = make([]model.Time, pg.p.Ports)
 	}
-	portFree := sc.portFree[:sc.p.Ports]
+	portFree := sc.portFree[:pg.p.Ports]
 	for p := range portFree {
 		portFree[p] = in.LoadFloor
 		if in.PortFree != nil {
@@ -258,15 +358,15 @@ func (sc *Scratch) Eval(in Input) (*Timeline, error) {
 		}
 		// Reconfiguring destroys the tile's contents: wait for the
 		// previous execution on it, or for the tile to drain.
-		t, ok := sc.tileReady(&in, id)
+		t, ok := sc.tileReady(in, id)
 		if !ok {
-			return nil, sc.errCycle()
+			return nil, pg.cycle
 		}
 		bound = model.MaxT(bound, t)
 		if in.OnDemand {
 			for _, p := range sc.pred[sc.predOff[id]:sc.predOff[id+1]] {
-				if !sc.resolve(&in, p) {
-					return nil, sc.errCycle()
+				if !sc.resolve(in, graph.SubtaskID(p)) {
+					return nil, pg.cycle
 				}
 				bound = model.MaxT(bound, tl.ExecEnd[p])
 			}
@@ -279,14 +379,14 @@ func (sc *Scratch) Eval(in Input) (*Timeline, error) {
 		}
 		start := model.MaxT(bound, portFree[best])
 		tl.LoadStart[id] = start
-		tl.LoadEnd[id] = start.Add(sc.lat[id])
+		tl.LoadEnd[id] = start.Add(pg.p.LoadLatency(sc.subs[id].Load))
 		tl.LoadPort[id] = best
 		portFree[best] = tl.LoadEnd[id]
 		tl.LastLoadEnd = model.MaxT(tl.LastLoadEnd, tl.LoadEnd[id])
 	}
 	for i := 0; i < n; i++ {
-		if !sc.resolve(&in, graph.SubtaskID(i)) {
-			return nil, sc.errCycle()
+		if !sc.resolve(in, graph.SubtaskID(i)) {
+			return nil, pg.cycle
 		}
 	}
 	tl.End = model.MaxT(tl.End, in.ExecFloor)
@@ -299,7 +399,7 @@ func (sc *Scratch) Eval(in Input) (*Timeline, error) {
 // drain time when i runs first on it (nil TileFree means time zero). It
 // reports false on a constraint cycle.
 func (sc *Scratch) tileReady(in *Input, i graph.SubtaskID) (model.Time, bool) {
-	prev := sc.prevExec[i]
+	prev := graph.SubtaskID(sc.prevExec[i])
 	if prev < 0 {
 		if in.TileFree == nil {
 			return 0, true
@@ -310,11 +410,6 @@ func (sc *Scratch) tileReady(in *Input, i graph.SubtaskID) (model.Time, bool) {
 		return 0, false
 	}
 	return sc.tl.ExecEnd[prev], true
-}
-
-// errCycle is the error every constraint cycle reports.
-func (sc *Scratch) errCycle() error {
-	return fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", sc.g.Name)
 }
 
 // resolve fixes the execution window of subtask i once everything it
@@ -330,7 +425,7 @@ func (sc *Scratch) resolve(in *Input, i graph.SubtaskID) bool {
 	case active:
 		return false
 	}
-	tl := &sc.tl
+	predComm, tl := sc.prog.predComm, &sc.tl
 	bound := in.ExecFloor
 	if in.NeedLoad[i] {
 		if tl.LoadPort[i] < 0 {
@@ -345,14 +440,18 @@ func (sc *Scratch) resolve(in *Input, i graph.SubtaskID) bool {
 	}
 	bound = model.MaxT(bound, t)
 	for k := sc.predOff[i]; k < sc.predOff[i+1]; k++ {
-		p := sc.pred[k]
+		p := graph.SubtaskID(sc.pred[k])
 		if !sc.resolve(in, p) {
 			return false
 		}
-		bound = model.MaxT(bound, tl.ExecEnd[p].Add(sc.predComm[k]))
+		end := tl.ExecEnd[p]
+		if len(predComm) != 0 {
+			end = end.Add(predComm[k])
+		}
+		bound = model.MaxT(bound, end)
 	}
 	tl.ExecStart[i] = bound
-	tl.ExecEnd[i] = bound.Add(sc.exec[i])
+	tl.ExecEnd[i] = bound.Add(sc.subs[i].Exec)
 	tl.End = model.MaxT(tl.End, tl.ExecEnd[i])
 	sc.state[i] = resolved
 	return true
@@ -361,18 +460,18 @@ func (sc *Scratch) resolve(in *Input, i graph.SubtaskID) bool {
 // checkDynamic validates the per-candidate part of in against the bound
 // schedule.
 func (sc *Scratch) checkDynamic(in *Input) error {
-	n, procs := len(sc.exec), sc.p.Processors()
+	n, p := len(sc.subs), sc.prog.p
 	if len(in.NeedLoad) != n {
 		return fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
 	}
-	if in.TileFree != nil && len(in.TileFree) != procs {
-		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(in.TileFree), procs)
+	if in.TileFree != nil && len(in.TileFree) != p.Processors() {
+		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(in.TileFree), p.Processors())
 	}
-	if in.PortFree != nil && len(in.PortFree) != sc.p.Ports {
-		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), sc.p.Ports)
+	if in.PortFree != nil && len(in.PortFree) != p.Ports {
+		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), p.Ports)
 	}
 	for i, need := range in.NeedLoad {
-		if need && sc.onISP[i] {
+		if need && sc.subs[i].OnISP {
 			return fmt.Errorf("schedule: ISP subtask %d cannot be loaded", i)
 		}
 	}

@@ -7,6 +7,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"drhwsched/internal/model"
@@ -107,5 +108,43 @@ func TestSimRunAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, run)
 	if allocs > 21000 {
 		t.Fatalf("sim.Run allocates %.0f objects/run; the scratch-reusing kernel budget is 21000 (pre-refactor: ~43000)", allocs)
+	}
+}
+
+// TestSimRunAllocsPerInstance pins that the run-time phase allocates
+// nothing per task instance: every allocation of a run belongs to its
+// design-time preparation or its per-run setup, so a run of 1000
+// iterations allocates no more than a run of 100 plus a small constant
+// (sketch buckets and scratch buffers reaching a new high-water mark).
+// It covers every approach under serial and partition admission, on the
+// sequential kernel and sharded. The sharded runs use one worker: with
+// more, how many shard scratches warm up depends on goroutine
+// scheduling, and every shard runs the same code.
+func TestSimRunAllocsPerInstance(t *testing.T) {
+	mix := goldenMix("multimedia")
+	p := platform.Default(16)
+	p.ISPs = 1
+	const slack = 32
+	for _, ap := range []sim.Approach{sim.NoPrefetch, sim.DesignTimePrefetch, sim.RunTime, sim.RunTimeInterTask, sim.Hybrid} {
+		for _, mt := range []sim.Multitask{{}, {Mode: "partition", Partitions: 2}} {
+			for _, workers := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%v/%s/workers=%d", ap, mt.Mode, workers), func(t *testing.T) {
+					allocs := func(iters int) float64 {
+						opt := sim.Options{Approach: ap, Iterations: iters, Seed: 1, Parallelism: workers, Multitask: mt}
+						run := func() {
+							if _, err := sim.Run(mix, p, opt); err != nil {
+								t.Fatal(err)
+							}
+						}
+						run()
+						return testing.AllocsPerRun(2, run)
+					}
+					short, long := allocs(100), allocs(1000)
+					if long-short > slack {
+						t.Fatalf("1000 iterations allocate %.0f objects, 100 allocate %.0f: %.0f more, over the %d-object slack", long, short, long-short, slack)
+					}
+				})
+			}
+		}
 	}
 }

@@ -121,7 +121,7 @@ type scratch struct {
 	tileFree  []model.Time
 	loads     []graph.SubtaskID
 	future    []graph.ConfigID
-	resident  map[graph.SubtaskID]bool
+	resident  []bool // per subtask of the current instance
 	tileLast  []model.Time
 	flights   []flight
 	inst      instance
@@ -135,13 +135,11 @@ type scratch struct {
 	// tracing is on.
 	initWindows []core.LoadWindow
 
-	// tl is the current instance's timeline; endOfFn reads it so the
-	// replacement state commit needs no per-instance closure.
-	tl          *schedule.Timeline
-	curAnalysis *core.Analysis
-	endOfFn     func(graph.SubtaskID) model.Time
-	criticalFn  func(graph.SubtaskID) bool
-	residentFn  func(graph.SubtaskID) bool
+	// tl is the current instance's timeline; residentFn reads the
+	// residency bitset for the hybrid replay without a per-instance
+	// closure.
+	tl         *schedule.Timeline
+	residentFn func(graph.SubtaskID) bool
 }
 
 // validateWeights rejects degenerate scenario-weight vectors up front:
@@ -298,8 +296,6 @@ func (k *kernel) newSketches() {
 // hands to the layers below without allocating per instance. Each shard
 // kernel binds its own set over its own scratch.
 func (k *kernel) bindScratch() {
-	k.sc.endOfFn = func(id graph.SubtaskID) model.Time { return k.sc.tl.ExecEnd[id] }
-	k.sc.criticalFn = func(id graph.SubtaskID) bool { return k.sc.curAnalysis.IsCritical(id) }
 	k.sc.residentFn = func(id graph.SubtaskID) bool { return k.sc.resident[id] }
 }
 
@@ -672,31 +668,28 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	}
 
 	// Reuse + replacement modules (virtual -> physical), confined to
-	// the claimed tiles.
-	var critical func(graph.SubtaskID) bool
-	if pr.analysis != nil {
-		sc.curAnalysis = pr.analysis
-		critical = sc.criticalFn
-	}
+	// the claimed tiles, on the plan compiled at design time.
 	var future []graph.ConfigID
 	if k.opt.Lookahead {
 		future = sc.future[:0]
 		for _, up := range upcoming {
-			for _, id := range up.sched.AllLoads() {
-				future = append(future, up.sched.G.Subtask(id).Config)
+			subs := up.sched.G.Subtasks()
+			for _, id := range up.hwOrder {
+				future = append(future, subs[id].Config)
 			}
 		}
 		sc.future = future
 	}
-	mapping, err := reconfig.MapInto(s, f.State(), reconfig.MapOptions{
-		Policy: f.Policy(), Critical: critical, Future: future, Allowed: claim,
+	mapping, err := pr.plan.MapInto(f.State(), reconfig.MapOptions{
+		Policy: f.Policy(), Future: future, Allowed: claim,
 	}, &sc.mapSc)
 	if err != nil {
 		return 0, err
 	}
-	var resident map[graph.SubtaskID]bool
+	var resident []bool
+	reuses := 0
 	if k.useReuse {
-		sc.resident = reconfig.ResidentInto(sc.resident, s, f.State(), mapping)
+		sc.resident, reuses = pr.plan.ResidentInto(sc.resident, f.State(), mapping)
 		resident = sc.resident
 	}
 
@@ -736,15 +729,15 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	// Account. Reuse and load statistics are relative to the hardware
 	// (loadable) subtasks.
 	res.Instances++
-	res.Subtasks += pr.hw
+	res.Subtasks += len(pr.hwOrder)
 	res.IdealTotal += inst.ideal
 	res.ActualTotal += inst.ideal + inst.overhead
 	res.Loads += inst.loads
 	res.InitLoads += inst.initLoads
-	res.Reuses += len(resident)
+	res.Reuses += reuses
 	res.Cancelled += inst.cancelled
 	res.LoadEnergy += float64(inst.loads) * k.p.LoadEnergy
-	res.SavedLoads += pr.hw - inst.loads
+	res.SavedLoads += len(pr.hwOrder) - inst.loads
 	res.PrefetchHits += inst.prefetchHits
 	res.DemandMisses += inst.demandMisses
 
@@ -766,7 +759,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 		f.AdvanceISP(v-s.Tiles, inst.tileLast[v])
 	}
 	if k.useReuse {
-		reconfig.Commit(s, f.State(), mapping, resident, sc.endOfFn)
+		pr.plan.Commit(f.State(), mapping, resident, sc.tl.ExecEnd)
 	}
 	return inst.end, nil
 }
@@ -775,7 +768,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 // writing into the scratch instance. Port availability is read from and
 // written back to the fabric's shared per-port timeline, so instances
 // admitted while this one is in flight contend for the controllers.
-func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bool) (*instance, error) {
+func (k *kernel) execute(pr *prepared, b bounds, resident []bool) (*instance, error) {
 	sc := &k.sc
 	s := pr.sched
 	f := k.fab
@@ -794,7 +787,7 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 			TaskStart: b.taskStart,
 			PortFree:  model.MaxT(f.PortFree()[0], b.loadFloor),
 			TileFree:  b.tileFree,
-		}, fn, &sc.coreSc)
+		}, fn, pr.prog, &sc.coreSc)
 		if err != nil {
 			return nil, err
 		}
@@ -830,14 +823,14 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 		return inst, nil
 
 	case NoPrefetch, DesignTimePrefetch, RunTime, RunTimeInterTask:
+		// The non-resident hardware subtasks, in ideal-start order: a
+		// filter of the prepared order is already sorted.
 		loads := sc.loads[:0]
-		for i := 0; i < s.G.Len(); i++ {
-			id := graph.SubtaskID(i)
-			if !resident[id] && !s.G.Subtask(id).OnISP {
+		for _, id := range pr.hwOrder {
+			if resident == nil || !resident[id] {
 				loads = append(loads, id)
 			}
 		}
-		s.SortByIdealStart(loads)
 		sc.loads = loads
 		pb := prefetch.Bounds{
 			ExecFloor: b.taskStart,
@@ -849,11 +842,11 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 		var err error
 		switch k.opt.Approach {
 		case NoPrefetch:
-			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, k.p, loads, pb, &sc.pfSc)
+			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, k.p, loads, pb, pr.prog, &sc.pfSc)
 		case DesignTimePrefetch:
-			r, err = prefetch.EvaluateScratch(s, k.p, pr.dtOrder, pb, false, &sc.pfSc)
+			r, err = prefetch.EvaluateScratch(s, k.p, pr.dtOrder, pb, false, pr.prog, &sc.pfSc)
 		default:
-			r, err = (prefetch.List{}).ScheduleScratch(s, k.p, loads, pb, &sc.pfSc)
+			r, err = (prefetch.List{}).ScheduleScratch(s, k.p, loads, pb, pr.prog, &sc.pfSc)
 		}
 		if err != nil {
 			return nil, err

@@ -46,6 +46,7 @@ import (
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
 	"drhwsched/internal/reconfig"
+	"drhwsched/internal/schedule"
 	"drhwsched/internal/tcm"
 )
 
@@ -350,12 +351,21 @@ type Result struct {
 }
 
 // prepared caches the design-time artifacts of one concrete schedule
-// (one Pareto point of one task scenario).
+// (one Pareto point of one task scenario). It is immutable once built
+// and shared read-only by every shard kernel.
 type prepared struct {
 	sched    *assign.Schedule
 	analysis *core.Analysis    // reuse-aware approaches
 	dtOrder  []graph.SubtaskID // DesignTimePrefetch port order
-	hw       int               // hardware (loadable) subtask count
+	// hwOrder lists the hardware (loadable) subtasks in ideal-start
+	// order: every instance's load set is its non-resident members.
+	hwOrder []graph.SubtaskID
+	// plan is the compiled reuse and replacement plan (the analysis's
+	// critical set baked in); prog is the compiled static part of the
+	// schedule the approach replays — the analysis's stored schedule
+	// for the hybrid flow, sched on the platform otherwise.
+	plan *reconfig.Plan
+	prog *schedule.Program
 	// busyTiles is the number of virtual tiles that execute anything —
 	// the fabric claim an instance of this schedule needs; cfgs is its
 	// distinct hardware configuration set (reuse-aware admission).
@@ -375,10 +385,9 @@ type scenPrep struct {
 // analyze serves the design-time analyses (core.Analyze or a memoizing
 // wrapper).
 func makePrepared(s *assign.Schedule, p platform.Platform, approach Approach, analyze AnalyzeFunc) (*prepared, error) {
-	pr := &prepared{sched: s}
+	pr := &prepared{sched: s, hwOrder: s.AllLoads()}
 	for _, st := range s.G.Subtasks() {
 		if !st.OnISP {
-			pr.hw++
 			found := false
 			for _, c := range pr.cfgs {
 				if c == st.Config {
@@ -408,11 +417,26 @@ func makePrepared(s *assign.Schedule, p platform.Platform, approach Approach, an
 		}
 		pr.analysis = a
 	case DesignTimePrefetch:
-		r, err := (prefetch.BranchBound{}).Schedule(s, p, s.AllLoads(), prefetch.Bounds{})
+		r, err := (prefetch.BranchBound{}).Schedule(s, p, pr.hwOrder, prefetch.Bounds{})
 		if err != nil {
 			return nil, fmt.Errorf("sim: design-time prefetch %q: %w", s.G.Name, err)
 		}
 		pr.dtOrder = r.PortOrder
+	}
+	var critical func(graph.SubtaskID) bool
+	if pr.analysis != nil {
+		critical = pr.analysis.IsCritical
+	}
+	pr.plan = reconfig.NewPlan(s, critical)
+	var err error
+	if approach == Hybrid {
+		pr.prog, err = pr.analysis.Program()
+	} else {
+		in := s.EngineInput(p, nil)
+		pr.prog, err = schedule.Compile(&in)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: compiling %q: %w", s.G.Name, err)
 	}
 	return pr, nil
 }
