@@ -12,10 +12,6 @@ build: ## compile every package and command
 test: ## run all tests with the race detector
 	$(GO) test -race ./...
 
-.PHONY: bench
-bench: ## sim + engine + fabric benchmarks with -benchmem, emitting BENCH_sim.json + BENCH_fabric.json
-	./scripts/bench.sh
-
 .PHONY: bench-fabric
 bench-fabric: ## multitask kernel benchmark at partition counts 1/2/4
 	$(GO) test -run=^$$ -bench=BenchmarkMultitaskRun -benchmem ./internal/sim
@@ -44,10 +40,6 @@ experiments: ## regenerate every table and figure of the paper
 .PHONY: serve
 serve: ## run the drhwd scheduling service on :8080
 	$(GO) run ./cmd/drhwd -addr 127.0.0.1:8080
-
-.PHONY: bench-cluster
-bench-cluster: ## coordinator sweep throughput at 1 vs 2 replicas, emitting BENCH_cluster.json
-	./scripts/bench_cluster.sh
 
 .PHONY: loadtest
 loadtest: ## smoke test: drhwd under load, then drhwcoord over 2 replicas diffed against single node

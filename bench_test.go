@@ -227,6 +227,17 @@ func engineSweepGrid(mix []sim.TaskMix) []engine.Run {
 	return runs
 }
 
+// serialSweep runs the grid the pre-engine way: one sim.Run after
+// another, every analysis re-derived per run.
+func serialSweep(mix []sim.TaskMix) error {
+	for _, r := range engineSweepGrid(mix) {
+		if _, err := sim.Run(r.Mix, r.Platform, r.Options); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BenchmarkEngineSweep compares the serial experiment loop against the
 // concurrent engine on the same §7 grid. "serial" is the pre-engine
 // path (one sim.Run after another, analyses re-derived per run);
@@ -240,10 +251,8 @@ func BenchmarkEngineSweep(b *testing.B) {
 	mix := multimediaMix()
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, r := range engineSweepGrid(mix) {
-				if _, err := sim.Run(r.Mix, r.Platform, r.Options); err != nil {
-					b.Fatal(err)
-				}
+			if err := serialSweep(mix); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -258,6 +267,40 @@ func BenchmarkEngineSweep(b *testing.B) {
 		}
 		b.ReportMetric(100*st.HitRate(), "cache-hit-%")
 	})
+}
+
+// TestEngineSweepAllocs holds both BenchmarkEngineSweep paths to an
+// allocation budget of their measured allocs/op × 1.3 + 8: the serial
+// loop re-derives every analysis, so its count is the design-time
+// phase's; the engine adds its cache, pool and collector on top.
+func TestEngineSweepAllocs(t *testing.T) {
+	mix := multimediaMix()
+	cases := []struct {
+		name   string
+		run    func() error
+		budget float64
+	}{
+		{"serial", func() error { return serialSweep(mix) }, 14024},
+		{"engine", func() error {
+			_, _, err := engine.New(engine.Config{}).Sweep("tiles", engineSweepGrid(mix))
+			return err
+		}, 16839},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() {
+				if err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			allocs := testing.AllocsPerRun(3, run)
+			if allocs > c.budget {
+				t.Fatalf("%s sweep allocates %.0f objects/run; the budget is %.0f", c.name, allocs, c.budget)
+			}
+			t.Logf("%.0f objects/run, budget %.0f", allocs, c.budget)
+		})
+	}
 }
 
 // BenchmarkEngine measures the raw timeline engine on the Pocket GL

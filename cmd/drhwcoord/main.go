@@ -125,8 +125,8 @@ func main() {
 	}
 
 	// Seed every replica's peer set from the configured pool; replicas
-	// that are not up yet (or run -peer-fill=false) just miss a
-	// best-effort push and catch the next membership change.
+	// that are not up yet just miss a best-effort push and catch the
+	// next membership change.
 	coord.SyncPeers()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

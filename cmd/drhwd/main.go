@@ -6,7 +6,7 @@
 // Usage:
 //
 //	drhwd [-addr host:port] [-workers N] [-cache N]
-//	      [-peers URL[,URL...]] [-peer-fill=true|false]
+//	      [-peers URL[,URL...]]
 //	      [-max-inflight N] [-max-subtasks N] [-max-sweep-cells N]
 //	      [-timeout D] [-drain D] [-pprof-addr host:port]
 //
@@ -18,10 +18,10 @@
 // GET /metrics. Request bodies are workload JSON documents (see
 // internal/workload's schema comment).
 //
-// With -peer-fill (the default) the analysis cache is the tiered
-// store: a key missing locally is fetched from the -peers replicas —
-// ranked by rendezvous hash, so both sides agree who likely owns it —
-// before the engine falls back to computing it. -peers seeds the set;
+// The analysis cache is the tiered store: a key missing locally is
+// fetched from the -peers replicas — ranked by rendezvous hash, so both
+// sides agree who likely owns it — before the engine falls back to
+// computing it. -peers seeds the set;
 // a coordinator updates it at runtime through /v1/peers.
 //
 // Use -addr 127.0.0.1:0 for an ephemeral port; the bound address is
@@ -65,7 +65,6 @@ func main() {
 		drain       = flag.Duration("drain", 0, "shutdown drain budget for in-flight requests (0: 10s)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this side address (empty: disabled)")
 		peers       = flag.String("peers", "", "sibling replica base URLs for peer fill (comma-separated; live-updatable via /v1/peers)")
-		peerFill    = flag.Bool("peer-fill", true, "tiered analysis store: try peer replicas before recomputing a missing analysis")
 	)
 	flag.Parse()
 
@@ -73,26 +72,19 @@ func main() {
 	if *pprofAddr != "" {
 		pprofsrv.ServePprof(*pprofAddr, logger.Printf)
 	}
-	engCfg := engine.Config{Workers: *workers, CacheSize: *cacheSize}
-	var ps *peerstore.Store
-	if *peerFill {
-		ps = peerstore.New(peerstore.Config{CacheSize: *cacheSize, Logf: logger.Printf})
-		if *peers != "" {
-			var list []string
-			for _, u := range strings.Split(*peers, ",") {
-				if u = strings.TrimSpace(u); u != "" {
-					list = append(list, u)
-				}
+	ps := peerstore.New(peerstore.Config{CacheSize: *cacheSize, Logf: logger.Printf})
+	if *peers != "" {
+		var list []string
+		for _, u := range strings.Split(*peers, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				list = append(list, u)
 			}
-			ps.SetPeers(list)
-			logger.Printf("drhwd: peer fill over %d seed peer(s)", len(ps.Peers()))
 		}
-		engCfg.Store = ps
-	} else if *peers != "" {
-		logger.Printf("drhwd: -peers ignored: peer fill disabled")
+		ps.SetPeers(list)
+		logger.Printf("drhwd: peer fill over %d seed peer(s)", len(ps.Peers()))
 	}
 	srv := server.New(server.Config{
-		Engine:         engine.New(engCfg),
+		Engine:         engine.New(engine.Config{Workers: *workers, CacheSize: *cacheSize, Store: ps}),
 		PeerStore:      ps,
 		MaxInFlight:    *maxInflight,
 		MaxSubtasks:    *maxSubtasks,

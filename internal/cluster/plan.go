@@ -9,6 +9,7 @@ import (
 	"drhwsched/internal/assign"
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
+	"drhwsched/internal/platform"
 	"drhwsched/internal/server"
 	"drhwsched/internal/workload"
 )
@@ -61,7 +62,7 @@ func ParseGrid(req *server.SweepRequest) (*Grid, error) {
 	}
 	if param == "tiles" {
 		for _, x := range req.Values {
-			if x < 1 {
+			if x < 1 || x > platform.MaxCount {
 				return nil, fmt.Errorf("sweep: tile count %d out of range", x)
 			}
 		}

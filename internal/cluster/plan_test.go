@@ -113,6 +113,7 @@ func TestGridRejects(t *testing.T) {
 		"no values":   {Workload: json.RawMessage(planDoc)},
 		"bad param":   {Workload: json.RawMessage(planDoc), Param: "voltage", Values: []int{4}},
 		"bad tiles":   {Workload: json.RawMessage(planDoc), Values: []int{0}},
+		"huge tiles":  {Workload: json.RawMessage(planDoc), Values: []int{1_000_000_000}},
 		"bad line":    {Workload: json.RawMessage(planDoc), Values: []int{4}, Approaches: []string{"nope"}},
 		"bad doc":     {Workload: json.RawMessage(`{"tasks": 7}`), Values: []int{4}},
 	}

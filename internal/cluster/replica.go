@@ -86,9 +86,9 @@ func (r *Replica) Health(ctx context.Context, traceparent string) ReplicaHealth 
 }
 
 // PushPeers replaces the replica's peer-fill set via POST /v1/peers.
-// A 404 means the replica runs without peer fill (-peer-fill=false);
-// that is not a push failure — the replica simply computes everything
-// itself.
+// A 404 means the replica's server was built without a peer store
+// (drhwd always has one; embedders and tests may not); that is not a
+// push failure — the replica simply computes everything itself.
 func (r *Replica) PushPeers(ctx context.Context, peers []string) error {
 	body, err := json.Marshal(server.PeersRequest{Peers: peers})
 	if err != nil {

@@ -41,6 +41,13 @@ type Platform struct {
 	IdlePower   float64 // mW
 }
 
+// MaxCount bounds the tile, port and ISP counts a decoded document or
+// sweep request may ask for. Scheduling sizes per-processor and
+// per-port state from these counts up front, so an unbounded count in
+// a request body would be an unbounded allocation. The paper's
+// platforms have at most 16 tiles.
+const MaxCount = 1024
+
 // Default returns the paper's experimental platform: n tiles, 4 ms
 // reconfiguration latency, one reconfiguration controller, and an energy
 // model in the range published for Virtex-II partial reconfiguration.

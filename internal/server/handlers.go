@@ -12,6 +12,7 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/httpx"
 	"drhwsched/internal/obs"
+	"drhwsched/internal/platform"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/workload"
 )
@@ -544,7 +545,7 @@ func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
 		case "seed":
 			opt.Seed = int64(x)
 		default: // tiles
-			if x < 1 {
+			if x < 1 || x > platform.MaxCount {
 				return nil, httpx.BadRequest("sweep: tile count %d out of range", x)
 			}
 			p.Tiles = x

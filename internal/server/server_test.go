@@ -673,6 +673,7 @@ func TestSweepBadRequests(t *testing.T) {
 		"bad param":     {fmt.Sprintf(`{"workload": %s, "param": "voltage", "values": [1]}`, simDoc), http.StatusBadRequest},
 		"bad approach":  {sweepBody(`[4]`, `["psychic"]`), http.StatusBadRequest},
 		"zero tiles":    {sweepBody(`[0]`, `["hybrid"]`), http.StatusBadRequest},
+		"huge tiles":    {sweepBody(`[1000000000]`, `["hybrid"]`), http.StatusBadRequest},
 		"grid too big":  {sweepBody(`[2, 3]`, `["hybrid", "run-time"]`), http.StatusRequestEntityTooLarge},
 		"default lines": {sweepBody(`[4]`, `null`), http.StatusRequestEntityTooLarge}, // 5 default approaches > 3 cells
 	}

@@ -89,26 +89,54 @@ func TestGoldenPreRefactorAggregates(t *testing.T) {
 	}
 }
 
-// TestSimRunAllocs pins the allocation win of the scratch-reusing
-// kernel: the pre-refactor simulator spent ~43k allocations on this
-// exact run (hybrid, multimedia, 100 iterations); the staged kernel
-// spends ~6.5k, almost all of it in the one-time design-time phase.
-// The bound sits at half the old cost so a regression that loses the
-// scratch reuse fails loudly while normal variation does not.
-func TestSimRunAllocs(t *testing.T) {
+// allocRow is one sim.Run configuration an allocation test pins: the
+// multimedia mix on a platform.Default(tiles) with one ISP, at most
+// budget objects per run. Every budget is a measured allocs/op × 1.3
+// + 8, rounded down; a row named after a benchmark row runs that
+// benchmark's configuration. Tripping a budget means a change lost
+// scratch reuse somewhere on that path.
+type allocRow struct {
+	name   string
+	tiles  int
+	opt    sim.Options
+	budget float64
+}
+
+// checkAllocs runs each row once to warm global state, then holds its
+// testing.AllocsPerRun count to the row's budget.
+func checkAllocs(t *testing.T, rows []allocRow) {
+	t.Helper()
 	mix := goldenMix("multimedia")
-	p := platform.Default(8)
-	p.ISPs = 1
-	run := func() {
-		if _, err := sim.Run(mix, p, sim.Options{Approach: sim.Hybrid, Iterations: 100, Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			p := platform.Default(row.tiles)
+			p.ISPs = 1
+			run := func() {
+				if _, err := sim.Run(mix, p, row.opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			allocs := testing.AllocsPerRun(3, run)
+			if allocs > row.budget {
+				t.Fatalf("sim.Run allocates %.0f objects/run; the budget is %.0f", allocs, row.budget)
+			}
+			t.Logf("%.0f objects/run, budget %.0f", allocs, row.budget)
+		})
 	}
-	run() // warm any global state
-	allocs := testing.AllocsPerRun(3, run)
-	if allocs > 21000 {
-		t.Fatalf("sim.Run allocates %.0f objects/run; the scratch-reusing kernel budget is 21000 (pre-refactor: ~43000)", allocs)
-	}
+}
+
+// TestSimRunAllocs pins the allocation win of the scratch-reusing
+// kernel on the BenchmarkSimRun rows (multimedia, 8 tiles, 100
+// iterations): the pre-refactor simulator spent ~43k allocations on
+// the hybrid run; the compiled kernel spends ~900, almost all of it in
+// the one-time design-time phase.
+func TestSimRunAllocs(t *testing.T) {
+	checkAllocs(t, []allocRow{
+		{"no-prefetch", 8, sim.Options{Approach: sim.NoPrefetch, Iterations: 100, Seed: 1}, 547},
+		{"run-time", 8, sim.Options{Approach: sim.RunTime, Iterations: 100, Seed: 1}, 1174},
+		{"hybrid", 8, sim.Options{Approach: sim.Hybrid, Iterations: 100, Seed: 1}, 1176},
+	})
 }
 
 // TestSimRunAllocsPerInstance pins that the run-time phase allocates

@@ -182,26 +182,18 @@ func TestMultitaskValidation(t *testing.T) {
 // event-driven execute stage: a partition-mode run on a double-width
 // platform must stay within the same order of allocations as the serial
 // kernel — the event loop, claims and flight table all reuse buffers.
+// The MultitaskRun rows are BenchmarkMultitaskRun's (run-time, 100
+// iterations).
 func TestSimRunAllocsMultitask(t *testing.T) {
-	mix := goldenMix("multimedia")
-	p := platform.Default(16)
-	p.ISPs = 1
-	run := func() {
-		_, err := sim.Run(mix, p, sim.Options{
-			Approach:   sim.Hybrid,
-			Iterations: 100,
-			Seed:       1,
-			Multitask:  sim.Multitask{Mode: "partition", Partitions: 2},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	partition := func(ap sim.Approach, parts int) sim.Options {
+		return sim.Options{Approach: ap, Iterations: 100, Seed: 1, Multitask: sim.Multitask{Mode: "partition", Partitions: parts}}
 	}
-	run() // warm any global state
-	allocs := testing.AllocsPerRun(3, run)
-	if allocs > 30000 {
-		t.Fatalf("multitask sim.Run allocates %.0f objects/run; the event-loop budget is 30000", allocs)
-	}
+	checkAllocs(t, []allocRow{
+		{"hybrid/partitions=2", 16, partition(sim.Hybrid, 2), 1193},
+		{"MultitaskRun/partitions=1", 16, partition(sim.RunTime, 1), 1179},
+		{"MultitaskRun/partitions=2", 16, partition(sim.RunTime, 2), 1184},
+		{"MultitaskRun/partitions=4", 16, partition(sim.RunTime, 4), 1181},
+	})
 }
 
 // TestLookaheadBeatsLRUUnderContention is the replacement-policy

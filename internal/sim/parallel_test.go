@@ -460,52 +460,42 @@ func TestShardedDeadlineMode(t *testing.T) {
 // TestSimRunAllocsSharded pins the scratch discipline of the sharded
 // executor: per-shard scratch keeps the per-iteration hot path
 // allocation-free, so a whole sharded run stays within a fixed budget
-// dominated by per-run setup (shard clones, chunk partials).
+// dominated by per-run setup (shard clones, chunk partials). The
+// SimRunParallel rows are BenchmarkSimRunParallel's (no-prefetch, 400
+// iterations).
 func TestSimRunAllocsSharded(t *testing.T) {
-	mix := goldenMix("multimedia")
-	p := platform.Default(8)
-	p.ISPs = 1
-	run := func() {
-		_, err := sim.Run(mix, p, sim.Options{
-			Approach:    sim.Hybrid,
-			Iterations:  100,
-			Seed:        1,
-			Parallelism: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	sharded := func(ap sim.Approach, iters, workers int) sim.Options {
+		return sim.Options{Approach: ap, Iterations: iters, Seed: 1, Parallelism: workers}
 	}
-	run() // warm any global state
-	allocs := testing.AllocsPerRun(3, run)
-	if allocs > 23000 {
-		t.Fatalf("sharded sim.Run allocates %.0f objects/run; the budget is 23000", allocs)
-	}
+	checkAllocs(t, []allocRow{
+		{"hybrid/workers=2", 8, sharded(sim.Hybrid, 100, 2), 1323},
+		{"SimRunParallel/workers=1", 8, sharded(sim.NoPrefetch, 400, 1), 654},
+		{"SimRunParallel/workers=2", 8, sharded(sim.NoPrefetch, 400, 2), 836},
+		{"SimRunParallel/workers=4", 8, sharded(sim.NoPrefetch, 400, 4), 911},
+	})
 }
 
 // TestSimRunAllocsMultitaskParallel pins the per-shard scratch budget
 // of the sharded multitask path: partition admission reuses the same
 // per-shard scratch as serial, so sharding a multitask run must stay
-// within the same order of setup-dominated allocations.
+// within the same order of setup-dominated allocations. The
+// MultitaskRunParallel rows are BenchmarkMultitaskRunParallel's
+// (run-time, 400 iterations).
 func TestSimRunAllocsMultitaskParallel(t *testing.T) {
-	mix := goldenMix("multimedia")
-	p := platform.Default(16)
-	p.ISPs = 1
-	run := func() {
-		_, err := sim.Run(mix, p, sim.Options{
-			Approach:    sim.Hybrid,
-			Iterations:  100,
+	sharded := func(ap sim.Approach, iters, parts, workers int) sim.Options {
+		return sim.Options{
+			Approach:    ap,
+			Iterations:  iters,
 			Seed:        1,
-			Parallelism: 2,
-			Multitask:   sim.Multitask{Mode: "partition", Partitions: 2},
-		})
-		if err != nil {
-			t.Fatal(err)
+			Parallelism: workers,
+			Multitask:   sim.Multitask{Mode: "partition", Partitions: parts},
 		}
 	}
-	run() // warm any global state
-	allocs := testing.AllocsPerRun(3, run)
-	if allocs > 26000 {
-		t.Fatalf("sharded multitask sim.Run allocates %.0f objects/run; the budget is 26000", allocs)
-	}
+	checkAllocs(t, []allocRow{
+		{"hybrid/partitions=2/workers=2", 16, sharded(sim.Hybrid, 100, 2, 2), 1343},
+		{"MultitaskRunParallel/partitions=2/workers=1", 16, sharded(sim.RunTime, 400, 2, 1), 1300},
+		{"MultitaskRunParallel/partitions=2/workers=4", 16, sharded(sim.RunTime, 400, 2, 4), 1540},
+		{"MultitaskRunParallel/partitions=4/workers=1", 16, sharded(sim.RunTime, 400, 4, 1), 1300},
+		{"MultitaskRunParallel/partitions=4/workers=4", 16, sharded(sim.RunTime, 400, 4, 4), 1540},
+	})
 }

@@ -430,6 +430,10 @@ func (pd *PlatformDoc) Resolve() (platform.Platform, error) {
 		if pd.Tiles < 0 {
 			return p, fmt.Errorf("workload: platform block: negative tile count %d", pd.Tiles)
 		}
+		if pd.Tiles > platform.MaxCount || pd.Ports > platform.MaxCount || pd.ISPs > platform.MaxCount {
+			return p, fmt.Errorf("workload: platform block: %d tiles, %d ports, %d ISPs: each count is limited to %d",
+				pd.Tiles, pd.Ports, pd.ISPs, platform.MaxCount)
+		}
 		if pd.Tiles > 0 {
 			p = platform.Default(pd.Tiles)
 		}

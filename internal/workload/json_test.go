@@ -216,6 +216,9 @@ func TestParseRunErrors(t *testing.T) {
 		"bad policy":     `{"tasks":[{"scenarios":[{"subtasks":[{"name":"a","exec_ms":1}]}]}],"sim":{"policy":"crystal"}}`,
 		"bad multitask":  `{"tasks":[{"scenarios":[{"subtasks":[{"name":"a","exec_ms":1}]}]}],"sim":{"multitask":{"mode":"anarchy"}}}`,
 		"negative tiles": `{"tasks":[{"scenarios":[{"subtasks":[{"name":"a","exec_ms":1}]}]}],"platform":{"tiles":-3}}`,
+		"huge tiles":     `{"tasks":[{"scenarios":[{"subtasks":[{"name":"a","exec_ms":1}]}]}],"platform":{"tiles":1000000000}}`,
+		"huge ports":     `{"tasks":[{"scenarios":[{"subtasks":[{"name":"a","exec_ms":1}]}]}],"platform":{"ports":1000000000}}`,
+		"huge isps":      `{"tasks":[{"scenarios":[{"subtasks":[{"name":"a","exec_ms":1}]}]}],"platform":{"isps":1000000000}}`,
 		"empty mix":      `{"tasks":[],"platform":{"tiles":4}}`,
 	}
 	for name, doc := range cases {
